@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import platform
 import time
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -129,9 +131,38 @@ def cold(*relations: HRelation) -> None:
 # ----------------------------------------------------------------------
 
 
+_FULL_MASKS: Dict[tuple, Dict[str, Dict[str, int]]] = {}
+
+
+def full_masks(hierarchy: Hierarchy) -> Dict[str, Dict[str, int]]:
+    """Full-width descendant/ancestor bitsets indexed by topological
+    rank, built once per hierarchy version (the cache shape the
+    "before" paths read)."""
+    key = (id(hierarchy), hierarchy.version)
+    hit = _FULL_MASKS.get(key)
+    if hit is not None:
+        return hit
+    order = hierarchy.topological_order()
+    rank = {node: i for i, node in enumerate(order)}
+    desc: Dict[str, int] = {}
+    for node in reversed(order):
+        mask = 1 << rank[node]
+        for child in hierarchy.children(node):
+            mask |= desc[child]
+        desc[node] = mask
+    anc: Dict[str, int] = {}
+    for node in order:
+        mask = 1 << rank[node]
+        for parent in hierarchy.parents(node):
+            mask |= anc[parent]
+        anc[node] = mask
+    hit = _FULL_MASKS[key] = {"rank": rank, "desc": desc, "anc": anc}
+    return hit
+
+
 def mcd_before(hierarchy: Hierarchy, a: str, b: str) -> List[str]:
     """Full-node-scan maximal common descendants (no meet table)."""
-    masks = hierarchy._masks()
+    masks = full_masks(hierarchy)
     common = masks["desc"][a] & masks["desc"][b]
     if not common:
         return []
@@ -378,6 +409,8 @@ def main() -> None:
             "memoised meet tables / closed-value sweep, fused "
             "combine+consolidate emission, zero-copy join adaptor"
         ),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
         "rows": rows,
     }
     out_path = REPO_ROOT / "BENCH_algebra.json"

@@ -26,6 +26,8 @@ rebuilds whatever it caches) in both guises:
 from __future__ import annotations
 
 import json
+import os
+import platform
 import random
 import time
 from pathlib import Path
@@ -203,6 +205,8 @@ def main() -> None:
         },
         "before": "per-item binding.truth_and_binders at every query",
         "after": "repro.core.bulk: one sweep, bitset lookups per query",
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
         "rows": rows,
     }
     out_path = REPO_ROOT / "BENCH_bulk.json"

@@ -13,10 +13,10 @@ the cost gate:
   row; `union_1worker` re-measures the same workload with the full
   shard pipeline inline (workers=1, no fork, no pickling) — the
   decomposition-overhead row the acceptance bound holds to within 10%
-  of serial.  (On a single-core host the 4-worker speedup is *pure
-  decomposition*: serial pays one full-width O(n²/64) mask build,
-  the shard pipeline pays k builds at 1/k² each.  Every extra core
-  multiplies the worker portion on top of that.)
+  of serial.  (Serial sweeps number their bits per hierarchy
+  component, so they already get the decomposition win; what is left
+  for the workers is CPU parallelism, which needs more than one core
+  — see the recorded ``cpus``.)
 * **join** — `cone_join_workload(4000, 12)`: the zero-copy join whose
   padded inputs exercise the root-skip closure logic.
 * **conflict_scan** — `find_conflicts` over the union workload's left
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -146,11 +147,12 @@ def main() -> None:
     }
     payload = {
         "bench": "parallel",
-        "before": "serial full-width bitset sweeps (REPRO_PARALLEL=0)",
+        "before": "serial component-local bitset sweeps (REPRO_PARALLEL=0)",
         "after": "cone-partitioned shards, {} workers x fanout {}".format(
             WORKERS, parallel.config().fanout
         ),
         "cpus": os.cpu_count(),
+        "python": platform.python_version(),
         "reps": REPS,
         "rows": rows,
         "metrics": metrics,

@@ -7,8 +7,9 @@ Writes BENCH_wire.json at the repository root.
 Three claims from docs/SERVER.md and docs/ARCHITECTURE.md:
 
 * **snapshot** — a binary ``snapshot.bin`` restores a *query-ready*
-  database (posting masks included, no bulk-evaluator sweep on first
-  query) >= 3x faster than the JSON snapshot at 50k stored tuples;
+  database (loaded, and the relation's bulk evaluator built — neither
+  format stores evaluator state) >= 3x faster than the JSON snapshot
+  at 50k stored tuples;
 * **transfer** — shipping a large SELECT result over the wire in
   columnar blocks (``render=False``) is >= 2x faster than the JSON
   frames at 50k tuples;
@@ -19,8 +20,9 @@ Three claims from docs/SERVER.md and docs/ARCHITECTURE.md:
 Rows follow the repo convention: ``before_ms`` is the JSON path,
 ``after_ms`` the binary (or paged) path, ``speedup`` the ratio.  Each
 measurement is the best of ``REPS`` runs, and every snapshot rep
-asserts bit-identity — items, signs, and nonzero posting masks — so a
-fast-but-wrong codec can never post a number.
+asserts bit-identity — items, signs, the truth of every stored item and
+hierarchy node, and the extension — so a fast-but-wrong codec can never
+post a number.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import platform
 import tempfile
 import time
 import tracemalloc
@@ -75,20 +78,26 @@ def build_database(tuples: int):
     return database
 
 
-def _nonzero(tables):
-    return [{node: mask for node, mask in table.items() if mask} for table in tables]
+def answers(relation):
+    """The truth of every stored item and of every hierarchy node (on
+    each attribute, the other at its root), and the extension."""
+    from repro.core.bulk import evaluator_for
+
+    evaluator = evaluator_for(relation)
+    top = relation.schema.product.top
+    probes = list(relation.asserted)
+    for position, hierarchy in enumerate(relation.schema.hierarchies):
+        for node in hierarchy.nodes():
+            probes.append(top[:position] + (node,) + top[position + 1:])
+    return [evaluator.truth(item) for item in probes], list(relation.extension())
 
 
 def assert_bit_identical(original, recovered) -> None:
-    from repro.core.bulk import evaluator_for
-
     left = original.relation("r")
     right = recovered.relation("r")
     assert right.asserted == left.asserted, "items or signs differ"
     assert right.version == left.version, "version differs"
-    assert _nonzero(evaluator_for(right)._postings) == _nonzero(
-        evaluator_for(left)._postings
-    ), "posting masks differ"
+    assert answers(right) == answers(left), "answers differ"
 
 
 def bench_snapshots(rows: List[Dict]) -> None:
@@ -111,9 +120,8 @@ def bench_snapshots(rows: List[Dict]) -> None:
                 storage.save_database_binary(database, bin_path)
                 save_bin = min(save_bin, time.perf_counter() - start)
 
-                # "Load" means load-to-query-ready: the JSON path must
-                # still sweep the relation into posting masks before it
-                # can answer anything; the binary path ships the masks.
+                # "Load" means load-to-query-ready: both paths sweep the
+                # relation into posting masks before answering anything.
                 start = time.perf_counter()
                 from_json = storage.load_database(json_path)
                 evaluator_for(from_json.relation("r"))
@@ -321,6 +329,8 @@ def main() -> None:
         "bench": "wire",
         "page_size": CURSOR_PAGE,
         "reps": REPS,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
         "rows": rows,
         "metrics": metrics,
     }

@@ -118,13 +118,14 @@ def _hasse_graph(product, items: List[Item], schema=None) -> Dict[object, Set[ob
 
     if schema is None:
         schema = _SchemaView(product)
-    subsumers = _bulk.subsumer_masks(schema, items)
+    layout, subsumers = _bulk.subsumer_masks(schema, items)
     graph: Dict[object, Set[object]] = {item: set() for item in items}
     for j, item in enumerate(items):
-        covers = _bulk.minimal_of_mask(subsumers[j], subsumers)
+        members = layout.members(layout.groups[j])
+        covers = _bulk.minimal_of_mask(subsumers[j], subsumers, members)
         while covers:
             low = covers & -covers
-            graph[items[low.bit_length() - 1]].add(item)
+            graph[items[members[low.bit_length() - 1]]].add(item)
             covers ^= low
     return graph
 

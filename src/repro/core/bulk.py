@@ -10,10 +10,11 @@ call, so bulk consumers — :meth:`HRelation.extension`,
 :class:`BulkEvaluator` builds the relation's binding structure **once**
 and answers each query from bitset lookups:
 
-* Every stored tuple gets one bit position.  Per attribute, the tuples'
-  bits are seeded onto their value nodes and swept *down* the class
-  graph in one pass (:meth:`Hierarchy.downward_union`), yielding at
-  each node the bitset of stored tuples whose value there subsumes it.
+* Every stored tuple gets one bit position *within its hierarchy
+  component* (:class:`Layout`).  Per attribute, the tuples' bits are
+  seeded onto their value nodes and swept *down* the class graph in one
+  pass (:meth:`Hierarchy.downward_union`), yielding at each node the
+  bitset of stored tuples whose value there subsumes it.
 * The applicability set of a query item is then the AND across
   attributes of those per-node bitsets — one dict lookup and one
   integer AND per attribute, instead of a subsumption test per stored
@@ -23,6 +24,13 @@ and answers each query from bitset lookups:
   applicability mask of *t*'s own item (memoised per tuple), so the
   minimal — strongest-binding — applicable tuples of any query are an
   OR/AND-NOT away.
+
+Numbering bits per component rather than across the relation keeps
+every mask as wide as one component's tuples, not the whole relation:
+two values that share a descendant always share a component, so no
+sweep ever mixes two components' bits, and a relation spread over many
+independent cones costs O(V + E) small-integer operations instead of
+O(V · tuples / 64) word operations.
 
 Strategy coverage mirrors :mod:`repro.core.preemption`:
 
@@ -64,6 +72,119 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+#: Maps flag bytes 0/1 to the ASCII digits ``int(..., 2)`` parses.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class Layout:
+    """The component-local bit numbering of a sequence of items.
+
+    Item *i* owns bit ``local[i]`` of its group ``groups[i]``; every
+    bitset built over the items (postings, signs, subsumer and overlap
+    masks) is read in the numbering of the group it belongs to.  A unary
+    schema over a hierarchy with several components groups its items by
+    their value's component (:meth:`Hierarchy.component_map`), so group
+    ids are component ids and a query value's group is its component.
+    A pool holding the root — whose bits reach every component — and,
+    for now, any n-ary schema form a single group ``0`` numbered by
+    position, so ``local[i] == i``.
+    """
+
+    __slots__ = (
+        "schema", "items", "components", "groups", "local", "sizes", "_members"
+    )
+
+    def __init__(self, schema, items: Sequence[Item]) -> None:
+        self.schema = schema
+        self.items = items
+        n = len(items)
+        hierarchies = schema.hierarchies
+        self.components: Optional[Dict[str, int]] = None
+        if n and len(hierarchies) == 1 and hierarchies[0].component_count() > 1:
+            component = hierarchies[0].component_map()
+            groups = [component[item[0]] for item in items]
+            if -1 not in groups:
+                self.components = component
+        if self.components is None:
+            self.groups: Sequence[int] = [0] * n
+            self.local: Sequence[int] = range(n)
+            #: group -> number of items in it
+            self.sizes: Dict[int, int] = {0: n} if n else {}
+            self._members: Optional[Dict[int, Sequence[int]]] = {0: range(n)}
+            return
+        sizes: Dict[int, int] = {}
+        local: List[int] = []
+        for group in groups:
+            j = sizes.get(group, 0)
+            sizes[group] = j + 1
+            local.append(j)
+        self.groups = groups
+        self.local = local
+        self.sizes = sizes
+        self._members = None
+
+    def members(self, group: int) -> Sequence[int]:
+        """The item indices of ``group``, by local bit."""
+        members = self._members
+        if members is None:
+            members = {}
+            for i, group_id in enumerate(self.groups):
+                bucket = members.get(group_id)
+                if bucket is None:
+                    members[group_id] = bucket = []
+                bucket.append(i)  # type: ignore[union-attr]
+            self._members = members
+        return members.get(group, ())
+
+    def group_masks(self, flags: Sequence[bool]) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Per group, the local bitsets of the items whose flag is set
+        and of those whose flag is clear (groups with no such item are
+        absent)."""
+        set_masks: Dict[int, int] = {}
+        if self.components is None:
+            # Bit i is flag i: read the flags as one binary numeral.
+            mask = int(bytes(flags[::-1]).translate(_BINARY_DIGITS) or b"0", 2)
+            if mask:
+                set_masks[0] = mask
+        else:
+            for flag, group, j in zip(flags, self.groups, self.local):
+                if flag:
+                    set_masks[group] = set_masks.get(group, 0) | (1 << j)
+        clear_masks: Dict[int, int] = {}
+        for group, size in self.sizes.items():
+            mask = ((1 << size) - 1) & ~set_masks.get(group, 0)
+            if mask:
+                clear_masks[group] = mask
+        return set_masks, clear_masks
+
+    def seed(self, position: int) -> Dict[str, int]:
+        """Node -> local bitset of the items whose value at attribute
+        ``position`` is that node."""
+        seed: Dict[str, int] = {}
+        for item, j in zip(self.items, self.local):
+            value = item[position]
+            seed[value] = seed.get(value, 0) | (1 << j)
+        return seed
+
+    def postings(self) -> List[Dict[str, int]]:
+        """Per attribute, node -> local bitset of the items whose value
+        there subsumes the node: each item's bit seeded on its value and
+        swept down (:meth:`Hierarchy.downward_union`)."""
+        return [
+            hierarchy.downward_union(self.seed(position))
+            for position, hierarchy in enumerate(self.schema.hierarchies)
+        ]
+
+
+def _applicable(postings: List[Dict[str, int]], item: Item) -> int:
+    mask = postings[0].get(item[0], 0)
+    for position in range(1, len(postings)):
+        if not mask:
+            return 0
+        mask &= postings[position].get(item[position], 0)
+    return mask
+
+
 class BulkEvaluator:
     """A read-only snapshot of one relation's binding structure.
 
@@ -74,7 +195,7 @@ class BulkEvaluator:
     auto-refreshed instance.
     """
 
-    def __init__(self, relation, strategy=None, *, postings=None) -> None:
+    def __init__(self, relation, strategy=None) -> None:
         chosen = strategy if strategy is not None else relation.strategy
         self.relation = relation
         self.strategy = chosen
@@ -84,32 +205,16 @@ class BulkEvaluator:
         self._asserted: Dict[Item, bool] = dict(relation.asserted)
         self._items: List[Item] = list(self._asserted)
         self.key = (chosen.name, relation.version, product.version)
-        pos = neg = 0
-        for i, item in enumerate(self._items):
-            if self._asserted[item]:
-                pos |= 1 << i
-            else:
-                neg |= 1 << i
-        self._pos = pos
-        self._neg = neg
+        layout = Layout(schema, self._items)
+        self._layout = layout
+        self._pos, self._neg = layout.group_masks(list(self._asserted.values()))
         self._delegate_all = product.has_preference_edges()
         self._minimal_exact = (
             chosen.name == "off-path" and not product.needs_elimination_binding()
         )
         self._postings: List[Dict[str, int]] = []
         if not self._delegate_all:
-            if postings is not None:
-                # Precomputed tables (binary snapshot recovery): trusted
-                # verbatim, so loading skips the subsumption sweep — the
-                # whole point of persisting them.
-                self._postings = [dict(table) for table in postings]
-            else:
-                for position, hierarchy in enumerate(schema.hierarchies):
-                    seed: Dict[str, int] = {}
-                    for i, item in enumerate(self._items):
-                        value = item[position]
-                        seed[value] = seed.get(value, 0) | (1 << i)
-                    self._postings.append(hierarchy.downward_union(seed))
+            self._postings = layout.postings()
         # Strict asserted subsumers per stored tuple, filled lazily:
         # only queries that reach the minimality check pay for them.
         self._above: List[Optional[int]] = [None] * len(self._items)
@@ -131,30 +236,25 @@ class BulkEvaluator:
             return True
         return self._minimal_exact
 
-    def applicable_mask(self, item: Item) -> int:
-        """The bitset of stored tuples whose item subsumes ``item``."""
-        postings = self._postings
-        mask = postings[0].get(item[0], 0)
-        for position in range(1, len(postings)):
-            if not mask:
-                return 0
-            mask &= postings[position].get(item[position], 0)
-        return mask
+    def _group(self, item: Item) -> int:
+        components = self._layout.components
+        return 0 if components is None else components[item[0]]
 
-    def _above_mask(self, index: int) -> int:
+    def _above_mask(self, group: int, bit: int) -> int:
+        index = self._layout.members(group)[bit]
         mask = self._above[index]
         if mask is None:
-            mask = self.applicable_mask(self._items[index]) & ~(1 << index)
+            mask = _applicable(self._postings, self._items[index]) & ~(1 << bit)
             self._above[index] = mask
         return mask
 
-    def _minimal_mask(self, applicable: int) -> int:
+    def _minimal_mask(self, group: int, applicable: int) -> int:
         """The minimal (most specific) tuples of an applicability mask."""
         dominated = 0
         rest = applicable
         while rest:
             low = rest & -rest
-            dominated |= self._above_mask(low.bit_length() - 1)
+            dominated |= self._above_mask(group, low.bit_length() - 1)
             rest ^= low
         return applicable & ~dominated
 
@@ -176,18 +276,21 @@ class BulkEvaluator:
             return sign
         if self._delegate_all:
             return _binding.truth_and_binders(self.relation, item, self.strategy)[0]
-        applicable = self.applicable_mask(item)
+        applicable = _applicable(self._postings, item)
         if not applicable:
             return False
-        if not applicable & self._neg:
+        group = self._group(item)
+        neg = self._neg.get(group, 0)
+        if not applicable & neg:
             return True
-        if not applicable & self._pos:
+        pos = self._pos.get(group, 0)
+        if not applicable & pos:
             return False
         if self.strategy.name == "none":
             return None
-        minimal = self._minimal_mask(applicable)
-        minimal_pos = minimal & self._pos
-        if minimal_pos and minimal & self._neg:
+        minimal = self._minimal_mask(group, applicable)
+        minimal_pos = minimal & pos
+        if minimal_pos and minimal & neg:
             return None
         if self._minimal_exact:
             return bool(minimal_pos)
@@ -203,13 +306,14 @@ class BulkEvaluator:
             return sign, [HTuple(item, sign)]
         if self._delegate_all:
             return _binding.truth_and_binders(self.relation, item, self.strategy)
-        applicable = self.applicable_mask(item)
+        applicable = _applicable(self._postings, item)
         if not applicable:
             return False, []
+        group = self._group(item)
         if self.strategy.name == "none":
-            binders = self._htuples(applicable, reverse=True)
+            binders = self._htuples(group, applicable, reverse=True)
         elif self._minimal_exact:
-            binders = self._htuples(self._minimal_mask(applicable))
+            binders = self._htuples(group, self._minimal_mask(group, applicable))
         else:
             return _binding.truth_and_binders(self.relation, item, self.strategy)
         truths = {b.truth for b in binders}
@@ -235,16 +339,21 @@ class BulkEvaluator:
                 "mixed-sign enumeration needs a unary, swept schema"
             )
         pos, neg = self._pos, self._neg
-        out = [
-            (node,)
-            for node, mask in self._postings[0].items()
-            if mask & pos and mask & neg
-        ]
+        if not neg or not pos:
+            return []
+        components = self._layout.components
+        out = []
+        for node, mask in self._postings[0].items():
+            if mask:
+                group = 0 if components is None else components[node]
+                if mask & pos.get(group, 0) and mask & neg.get(group, 0):
+                    out.append((node,))
         return self._product.topological_sort(out)
 
-    def _htuples(self, mask: int, reverse: bool = False) -> List[HTuple]:
+    def _htuples(self, group: int, mask: int, reverse: bool = False) -> List[HTuple]:
+        members = self._layout.members(group)
         items = self._product.topological_sort(
-            (self._items[i] for i in _iter_bits(mask)), reverse=reverse
+            (self._items[members[j]] for j in _iter_bits(mask)), reverse=reverse
         )
         return [HTuple(item, self._asserted[item]) for item in items]
 
@@ -296,8 +405,9 @@ class ConeEvaluator:
         return self._product.subsumes(self._cone, item)
 
 
-def subsumer_masks(schema, items: Sequence[Item]) -> List[int]:
-    """Per item, the bitset of *other* ``items`` strictly subsuming it.
+def subsumer_masks(schema, items: Sequence[Item]) -> Tuple[Layout, List[int]]:
+    """Per item, the bitset of *other* ``items`` strictly subsuming it,
+    numbered within the item's group of the returned :class:`Layout`.
 
     One posting sweep per attribute (seed each item's bit on its value,
     :meth:`Hierarchy.downward_union` pushes it over the value's cone)
@@ -306,26 +416,19 @@ def subsumer_masks(schema, items: Sequence[Item]) -> List[int]:
     minus its own bit.  This is the substrate the bulk consolidation
     sweep and the vectorised subsumption graph read from.
     """
-    postings: List[Dict[str, int]] = []
-    for position, hierarchy in enumerate(schema.hierarchies):
-        seed: Dict[str, int] = {}
-        for i, item in enumerate(items):
-            value = item[position]
-            seed[value] = seed.get(value, 0) | (1 << i)
-        postings.append(hierarchy.downward_union(seed))
-    out: List[int] = []
-    for i, item in enumerate(items):
-        mask = postings[0].get(item[0], 0)
-        for position in range(1, len(postings)):
-            if not mask:
-                break
-            mask &= postings[position].get(item[position], 0)
-        out.append(mask & ~(1 << i))
-    return out
+    layout = Layout(schema, items)
+    postings = layout.postings()
+    out = [
+        _applicable(postings, item) & ~(1 << j)
+        for item, j in zip(items, layout.local)
+    ]
+    return layout, out
 
 
 def cover_masks(schema, covers: Sequence[Item], items: Sequence[Item]) -> List[int]:
-    """Per item, the bitset of ``covers`` whose item subsumes it.
+    """Per item, the bitset of ``covers`` whose item subsumes it, in the
+    numbering of the item's group of ``Layout(schema, covers)`` — so
+    non-zero exactly when some cover subsumes the item.
 
     One posting sweep per attribute (seed each cover's bit on its value,
     :meth:`Hierarchy.downward_union` pushes it over the value's cone)
@@ -334,55 +437,41 @@ def cover_masks(schema, covers: Sequence[Item], items: Sequence[Item]) -> List[i
     inside the union of the mutated items' descendant cones iff its
     mask is non-zero.
     """
-    postings: List[Dict[str, int]] = []
-    for position, hierarchy in enumerate(schema.hierarchies):
-        seed: Dict[str, int] = {}
-        for i, cover in enumerate(covers):
-            value = cover[position]
-            seed[value] = seed.get(value, 0) | (1 << i)
-        postings.append(hierarchy.downward_union(seed))
-    out: List[int] = []
-    for item in items:
-        mask = postings[0].get(item[0], 0)
-        for position in range(1, len(postings)):
-            if not mask:
-                break
-            mask &= postings[position].get(item[position], 0)
-        out.append(mask)
-    return out
+    postings = Layout(schema, covers).postings()
+    return [_applicable(postings, item) for item in items]
 
 
-def overlap_masks(schema, subjects: Sequence[Item], others: Sequence[Item]) -> List[int]:
-    """Per subject, the bitset of ``others`` whose descendant cone can
-    intersect the subject's — the AND across attributes of one
-    :meth:`Hierarchy.overlap_union` sweep each.  Pairs with a zero bit
-    are disjoint and need no meet probe (optimistic disjointness); this
-    is the pruning mask the conflict scan and the meet-closure share.
+def overlap_masks(schema, items: Sequence[Item]) -> Tuple[Layout, List[int]]:
+    """Per item, the bitset of ``items`` (itself included) whose
+    descendant cone can intersect its own, numbered within the item's
+    group of the returned :class:`Layout` — the AND across attributes of
+    one :meth:`Hierarchy.overlap_union` sweep each.  Pairs with a zero
+    bit are disjoint and need no meet probe (optimistic disjointness);
+    this is the pruning mask the conflict scan and the view refresh
+    share.
     """
+    layout = Layout(schema, items)
     masks: List[int] = []
     for position, hierarchy in enumerate(schema.hierarchies):
-        seed: Dict[str, int] = {}
-        for i, other in enumerate(others):
-            value = other[position]
-            seed[value] = seed.get(value, 0) | (1 << i)
-        overlap = hierarchy.overlap_union(seed)
+        overlap = hierarchy.overlap_union(layout.seed(position))
         if position == 0:
-            masks = [overlap.get(subject[0], 0) for subject in subjects]
+            masks = [overlap[item[0]] for item in items]
         else:
-            for i, subject in enumerate(subjects):
-                masks[i] &= overlap.get(subject[position], 0)
-    return masks
+            for i, item in enumerate(items):
+                masks[i] &= overlap[item[position]]
+    return layout, masks
 
 
-def minimal_of_mask(mask: int, subsumers: Sequence[int]) -> int:
+def minimal_of_mask(mask: int, subsumers: Sequence[int], members: Sequence[int]) -> int:
     """The minimal (most specific) members of ``mask`` given each
-    member's strict-subsumer mask: drop everything some member sits
-    strictly above."""
+    item's strict-subsumer mask (:func:`subsumer_masks`): drop
+    everything some member sits strictly above.  ``members`` maps the
+    mask's local bits to item indices (:meth:`Layout.members`)."""
     dominated = 0
     rest = mask
     while rest:
         low = rest & -rest
-        dominated |= subsumers[low.bit_length() - 1]
+        dominated |= subsumers[members[low.bit_length() - 1]]
         rest ^= low
     return mask & ~dominated
 
@@ -394,10 +483,9 @@ def minimal_of_mask(mask: int, subsumers: Sequence[int]) -> int:
 
 def sign_masks(pairs: Sequence[Tuple[Item, bool]]) -> Tuple[int, int]:
     """The positive / negative sign bitsets of an ordered sequence of
-    ``(item, truth)`` pairs — bit *i* belongs to the *i*-th pair.  This
-    is the same layout :class:`BulkEvaluator` derives internally; the
+    ``(item, truth)`` pairs — bit *i* belongs to the *i*-th pair.  The
     parallel layer serialises it into each :class:`~repro.parallel.
-    snapshot.ShardSnapshot` so workers rebuild identical evaluators."""
+    snapshot.ShardSnapshot` so workers rebuild identical relations."""
     pos = neg = 0
     for i, (_, truth) in enumerate(pairs):
         if truth:
@@ -495,15 +583,16 @@ def extension_atoms(relation) -> Iterator[Item]:
     per-atom truth evaluation is cone-partitioned across workers; the
     coordinator then replays the serial enumeration order over the
     returned atom set (membership only, no evaluation), so the stream is
-    bit-identical to the serial one.  A conflicted atom raises eagerly
-    rather than mid-stream.
+    bit-identical to the serial one.  A conflicted atom reruns the
+    serial enumeration, so the atoms before the error and the atom it
+    names match the serial path too.
     """
     from repro import parallel as _parallel
 
     atoms = _parallel.maybe_extension(relation)
-    if atoms is not None:
-        return _writer_order_atoms(relation, set(atoms))
-    return _extension_atoms_serial(relation)
+    if atoms is None or atoms is _parallel.CONFLICT:
+        return _extension_atoms_serial(relation)
+    return _writer_order_atoms(relation, set(atoms))
 
 
 def _writer_order_atoms(relation, keep) -> Iterator[Item]:

@@ -95,12 +95,19 @@ def conflict_candidates(relation) -> List[Item]:
         # whose descendant cones can intersect it; only those pairs get
         # a meet probe.  A clear bit proves the meet set is empty, so
         # the candidate set is identical to the all-pairs scan.
-        masks = _bulk.overlap_masks(relation.schema, positives, negatives)
-        for pos, mask in zip(positives, masks):
+        items = positives + negatives
+        layout, masks = _bulk.overlap_masks(relation.schema, items)
+        _, negative = layout.group_masks([True] * len(positives) + [False] * len(negatives))
+        for i, pos in enumerate(positives):
+            group = layout.groups[i]
+            mask = masks[i] & negative.get(group, 0)
+            if not mask:
+                continue
+            members = layout.members(group)
             while mask:
                 low = mask & -mask
                 mask ^= low
-                seen.update(product.meet(pos, negatives[low.bit_length() - 1]))
+                seen.update(product.meet(pos, items[members[low.bit_length() - 1]]))
     return product.topological_sort(seen)
 
 

@@ -29,7 +29,7 @@ graph-construction procedure.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core import binding as _binding
 from repro.core import bulk as _bulk
@@ -74,22 +74,26 @@ def redundancy_sweep(
     An item is redundant iff its minimal *kept* strict subsumers — the
     immediate predecessors in the partially-consolidated subsumption
     graph — unanimously carry its truth value; with no kept subsumer
-    the universal negated tuple is the predecessor.  Valid on
+    the universal negated tuple is the predecessor.  Masks are numbered
+    per hierarchy component (:class:`~repro.core.bulk.Layout`): an
+    item's subsumers all live in its own component.  Valid on
     normal-form products only (the caller gates on
     ``needs_elimination_binding``).
     """
-    subsumers = _bulk.subsumer_masks(schema, items)
-    kept = 0
+    layout, subsumers = _bulk.subsumer_masks(schema, items)
+    kept: Dict[int, int] = {}
     flags: List[bool] = []
-    for i, truth in enumerate(truths):
-        preds = subsumers[i] & kept
+    for i, (truth, group, bit) in enumerate(zip(truths, layout.groups, layout.local)):
+        group_kept = kept.get(group, 0)
+        preds = subsumers[i] & group_kept
         if preds:
-            minimal = _bulk.minimal_of_mask(preds, subsumers)
+            members = layout.members(group)
+            minimal = _bulk.minimal_of_mask(preds, subsumers, members)
             same = True
             rest = minimal
             while rest:
                 low = rest & -rest
-                if truths[low.bit_length() - 1] != truth:
+                if truths[members[low.bit_length() - 1]] != truth:
                     same = False
                     break
                 rest ^= low
@@ -97,7 +101,7 @@ def redundancy_sweep(
             same = truth is UNIVERSAL.truth
         flags.append(same)
         if not same:
-            kept |= 1 << i
+            kept[group] = group_kept | (1 << bit)
     return flags
 
 

@@ -73,7 +73,7 @@ def explicate(
     if full and drop_negated:
         from repro import parallel as _parallel
 
-        atoms = _parallel.maybe_extension(relation, raise_on_conflict=False)
+        atoms = _parallel.maybe_extension(relation)
         if atoms is _parallel.CONFLICT:
             atoms = None  # conflicted: legacy writer-order fallback below
         elif atoms is not None:

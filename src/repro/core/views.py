@@ -78,7 +78,7 @@ def _is_bottom(schema, item: Item) -> bool:
     The delta path skips the whole-hierarchy posting sweeps for such
     items, making instance-level churn O(pool) instead of O(hierarchy)."""
     return all(
-        hierarchy.descendant_mask(value).bit_count() == 1
+        hierarchy.is_leaf(value)
         for hierarchy, value in zip(schema.hierarchies, item)
     )
 
@@ -456,21 +456,29 @@ class MaterializedView:
         frontier = [item for item in changed if item not in pool]
         pending: Set[Item] = set(frontier)
         while frontier:
+            start = len(order)
             for item in frontier:
                 pool[item] = None
                 order.append(item)
             # A bottom item's cone is itself, so its meet with anything
             # is itself (already pooled) or empty — only non-bottom
             # items can introduce new candidates and need the probe.
-            probe = [item for item in frontier if not _is_bottom(schema, item)]
+            probe = [
+                start + k
+                for k, item in enumerate(frontier)
+                if not _is_bottom(schema, item)
+            ]
             next_frontier: List[Item] = []
             if probe:
-                masks = _bulk.overlap_masks(schema, probe, order)
-                for item, mask in zip(probe, masks):
+                layout, masks = _bulk.overlap_masks(schema, order)
+                for index in probe:
+                    item = order[index]
+                    mask = masks[index]
+                    members = layout.members(layout.groups[index])
                     while mask:
                         low = mask & -mask
                         mask ^= low
-                        other = order[low.bit_length() - 1]
+                        other = order[members[low.bit_length() - 1]]
                         if other == item:
                             continue
                         for met in product.meet(item, other):

@@ -6,10 +6,10 @@ module is the binary alternative, negotiated at hello time on the wire
 snapshots.  The shape follows the typed-domain column treatment of the
 two-level concept-oriented model: values live in per-attribute
 *dictionary columns* (each distinct node name stored once, rows as
-fixed-width id arrays), and truth signs / posting sets travel as plain
-bitsets serialised with ``int.to_bytes`` — exactly the masks the bulk
-evaluator computes, so recovery can load them directly instead of
-re-deriving the subsumption sweep.
+fixed-width id arrays), and truth signs travel as plain bitsets.
+Snapshots persist no evaluator state: the bulk evaluator's posting
+masks are numbered per hierarchy component and rebuilt lazily on the
+first query after recovery, which costs less than decoding them did.
 
 Container layout (both wire messages and snapshot files)::
 
@@ -18,7 +18,7 @@ Container layout (both wire messages and snapshot files)::
 
 The *envelope* is ordinary JSON carrying everything small (names,
 schemas, checkpoint stamps); the *blocks* carry everything bulky (row
-columns, sign bitsets, posting masks).  A wire message embeds
+columns, sign bitsets).  A wire message embeds
 :class:`Columnar` markers where row data sits; :func:`encode_message`
 lifts them into blocks and :func:`decode_message` splices the decoded
 rows back, so a binary response decodes to the **same dict shape** as
@@ -38,7 +38,6 @@ import sys
 from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bulk import mask_from_bytes, mask_to_bytes
 from repro.errors import ProtocolError, StorageError
 
 #: First bytes of a binary wire-message body.  JSON bodies start with
@@ -207,7 +206,8 @@ def unpack_row_tuples(block: bytes) -> List[Tuple[str, ...]]:
 
 def pack_signs(truths: Sequence[bool]) -> bytes:
     """The positive-sign bitset of a row sequence (bit *i* = row *i*,
-    little-endian bytes — the same layout ``mask_to_bytes`` ships)."""
+    little-endian bytes — the same layout ``bulk.mask_to_bytes``
+    ships)."""
     out = bytearray((len(truths) + 7) // 8 or 1)
     for i, truth in enumerate(truths):
         if truth:
@@ -229,46 +229,6 @@ def unpack_signs(block: bytes, count: int) -> List[bool]:
     if len(truths) < count:
         truths.extend([False] * (count - len(truths)))
     return truths[:count]
-
-
-# ----------------------------------------------------------------------
-# posting blocks
-# ----------------------------------------------------------------------
-
-
-def pack_postings(table: Dict[str, int]) -> bytes:
-    """One attribute's posting table (node name -> stored-tuple bitset).
-
-    Zero masks are dropped — ``applicable_mask`` treats an absent node
-    and a zero mask identically — and entries are sorted so identical
-    tables always produce identical bytes.
-    """
-    entries = [(name, mask) for name, mask in sorted(table.items()) if mask]
-    parts = [_U32.pack(len(entries))]
-    for name, mask in entries:
-        raw = name.encode("utf-8")
-        payload = mask_to_bytes(mask)
-        parts.append(_U32.pack(len(raw)))
-        parts.append(raw)
-        parts.append(_U32.pack(len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def unpack_postings(block: bytes) -> Dict[str, int]:
-    (count,) = _U32.unpack_from(block, 0)
-    offset = 4
-    table: Dict[str, int] = {}
-    for _ in range(count):
-        (name_len,) = _U32.unpack_from(block, offset)
-        offset += 4
-        name = block[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (mask_len,) = _U32.unpack_from(block, offset)
-        offset += 4
-        table[name] = mask_from_bytes(block[offset : offset + mask_len])
-        offset += mask_len
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -384,26 +344,12 @@ def is_binary_body(body: bytes) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _relation_postings(relation) -> Optional[List[Dict[str, int]]]:
-    """The relation's per-attribute posting tables, building the bulk
-    evaluator if needed (which also warms the serving cache) — ``None``
-    when the schema has preference edges (those delegate per item and
-    carry no sweep)."""
-    from repro.core import bulk as _bulk
-
-    if relation.schema.product.has_preference_edges():
-        return None
-    evaluator = _bulk.evaluator_for(relation)
-    return evaluator._postings
-
-
 def encode_snapshot(database, extra: Optional[Dict[str, Any]] = None) -> bytes:
     """The whole database as one ``snapshot.bin`` byte string.
 
     Carries everything :func:`repro.engine.storage.database_to_dict`
-    carries plus, per relation, the version counters and posting
-    bitsets needed to rebuild a warm :class:`~repro.core.bulk.
-    BulkEvaluator` at recovery without re-running the sweep.
+    carries plus, per relation, the version counters, so evaluator and
+    cache keys stay comparable across a restart.
     """
     blocks: List[bytes] = []
     hierarchies = []
@@ -440,13 +386,6 @@ def encode_snapshot(database, extra: Optional[Dict[str, Any]] = None) -> bytes:
         blocks.append(pack_rows(items, len(relation.schema.attributes)))
         entry["signs"] = len(blocks)
         blocks.append(pack_signs(truths))
-        postings = _relation_postings(relation)
-        if postings is not None:
-            indexes = []
-            for table in postings:
-                indexes.append(len(blocks))
-                blocks.append(pack_postings(table))
-            entry["postings"] = indexes
         relations.append(entry)
     views = [
         {
@@ -485,12 +424,10 @@ def decode_snapshot(data: bytes):
 
     The rebuild is the trusted bulk path throughout: hierarchies load
     their node tables without per-node validation, relations load their
-    tuple dicts without per-item schema checks, and stored posting
-    bitsets pre-warm each relation's bulk evaluator — the version
-    counters are restored too, so the evaluator key matches exactly
-    what :func:`~repro.core.bulk.evaluator_for` would compute.
+    tuple dicts without per-item schema checks, and the version
+    counters are restored.  Each relation's bulk evaluator is built on
+    its first query.
     """
-    from repro.core.bulk import BulkEvaluator
     from repro.core.preemption import STRATEGIES
     from repro.engine.database import HierarchicalDatabase
     from repro.hierarchy.graph import Hierarchy
@@ -534,16 +471,12 @@ def decode_snapshot(data: bytes):
             count = int(spec["count"])
             items = unpack_row_tuples(blocks[spec["rows"]])
             truths = unpack_signs(blocks[spec["signs"]], count)
+            # Snapshots written before evaluators numbered their bits
+            # per component also carry per-attribute "postings" blocks;
+            # nothing reads them now, so they are skipped.
             relation.load_tuples(
                 zip(items, truths), version=int(spec.get("version", count))
             )
-            indexes = spec.get("postings")
-            if indexes is not None:
-                postings = [unpack_postings(blocks[i]) for i in indexes]
-                evaluator = BulkEvaluator(
-                    relation, relation.strategy, postings=postings
-                )
-                relation._bulk_eval = evaluator
         for spec in envelope.get("views", ()):
             database.define_view(
                 spec["name"],

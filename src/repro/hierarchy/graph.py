@@ -20,15 +20,26 @@ participate in the *binding* order (used by preemption) but never in
 membership, descendants, or explication.
 
 Performance notes.  Reachability queries dominate every downstream
-algorithm, so the hierarchy keeps lazily-built caches: a topological
-order, per-node ancestor/descendant bitsets (Python ints indexed by node
-rank), one family for the membership graph and one for the binding graph
-(membership plus preference edges).  Caches are invalidated by a version
-counter bumped on every mutation.
+algorithm, so the hierarchy keeps lazily-built caches, all invalidated by
+a version counter bumped on every mutation:
+
+* a topological order and, next to it, the *components*: the connected
+  components of the class graph below the root.  Two nodes other than
+  the root can only share a descendant, or subsume one another, inside
+  one component, so every bitset sweep numbers its bits per component
+  (:meth:`downward_union`, :meth:`overlap_union`) and each mask is only
+  as wide as the component it lives in;
+* per component, descendant/ancestor bitsets indexed by the node's
+  position in that component (subsumption, descendant and ancestor
+  sets, and the memoised meet table);
+* only when preference edges exist, full-width per-node descendant
+  bitsets of the binding graph (membership plus preference edges),
+  indexed by node rank — a preference edge may join two components.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -38,6 +49,12 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.hierarchy import algorithms
+
+#: ``(order, rank, insertion_rank, component, component_orders,
+#: branching)`` — see :meth:`Hierarchy._order`.
+_OrderCache = Tuple[
+    List[str], Dict[str, int], Dict[str, int], Dict[str, int], List[List[str]], Set[int]
+]
 
 
 class Hierarchy:
@@ -74,13 +91,17 @@ class Hierarchy:
         self._pref_parents: Dict[str, Set[str]] = {}
         self._insertion: List[str] = [self.root]
         self._version = 0
-        self._cache_version = -1
-        self._cache: Dict[str, object] = {}
+        self._binding_version = -1
+        self._binding_cache: Dict[str, int] = {}
         # Linear caches the planner-side helpers can use without forcing
-        # the O(n^2/64) bitset build in :meth:`_masks` (order/rank plus
-        # the insertion rank) and the redundancy flag's own cache.
+        # any bitset build (order/rank plus the insertion rank) and the
+        # redundancy flag's own cache.
         self._order_version = -1
-        self._order_cache: Tuple[List[str], Dict[str, int], Dict[str, int]] = ([], {}, {})
+        self._order_cache: _OrderCache = ([], {}, {}, {}, [], set())
+        # Per-version companions of the order cache: per-component local
+        # bitsets (filled per component on first use) and the meet table.
+        self._local_masks: Dict[int, Tuple[Dict[str, int], List[str], List[int], List[int]]] = {}
+        self._meets: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         self._redundant_version = -1
         self._redundant_cache: Set[Tuple[str, str]] = set()
 
@@ -295,8 +316,14 @@ class Hierarchy:
         """True iff ``specific`` ⊆ ``general`` (reflexive)."""
         self._require(general)
         self._require(specific)
-        masks = self._masks()
-        return bool(masks["desc"][general] >> masks["rank"][specific] & 1)
+        if general == specific or general == self.root:
+            return True
+        component = self._order()[3]
+        c = component[general]
+        if c != component[specific]:
+            return False
+        rank, _, desc, _ = self._component_masks(c)
+        return bool(desc[rank[general]] >> rank[specific] & 1)
 
     def strictly_subsumes(self, general: str, specific: str) -> bool:
         """True iff ``specific`` ⊂ ``general`` (irreflexive)."""
@@ -306,26 +333,34 @@ class Hierarchy:
         """Subsumption in the binding order (class edges plus preference
         edges).  Identical to :meth:`subsumes` when no preference edges
         exist."""
+        if not self.has_preference_edges():
+            return self.subsumes(general, specific)
         self._require(general)
         self._require(specific)
-        masks = self._masks()
-        return bool(masks["bind_desc"][general] >> masks["rank"][specific] & 1)
+        return bool(self._binding_masks()[general] >> self._order()[1][specific] & 1)
 
     def descendants(self, name: str, include_self: bool = True) -> Set[str]:
+        """The nodes ``name`` subsumes: for the root every node, else
+        members of ``name``'s own component."""
         self._require(name)
-        masks = self._masks()
-        mask = masks["desc"][name]
-        if not include_self:
-            mask &= ~(1 << masks["rank"][name])
-        return self._unpack(mask)
+        if name == self.root:
+            out = set(self._order()[0])
+            if not include_self:
+                out.discard(name)
+            return out
+        local, members, desc, _ = self._component_masks(self._order()[3][name])
+        return self._unpack(members, desc[local[name]], local[name], include_self)
 
     def ancestors(self, name: str, include_self: bool = True) -> Set[str]:
+        """The nodes subsuming ``name``: the root plus members of
+        ``name``'s own component."""
         self._require(name)
-        masks = self._masks()
-        mask = masks["anc"][name]
-        if not include_self:
-            mask &= ~(1 << masks["rank"][name])
-        return self._unpack(mask)
+        if name == self.root:
+            return {name} if include_self else set()
+        local, members, _, anc = self._component_masks(self._order()[3][name])
+        out = self._unpack(members, anc[local[name]], local[name], include_self)
+        out.add(self.root)
+        return out
 
     def maximal_common_descendants(self, a: str, b: str) -> List[str]:
         """The *meet set* of ``a`` and ``b``: common descendants with no
@@ -339,20 +374,33 @@ class Hierarchy:
 
         Answers are memoised per hierarchy version (the *meet table*),
         so algebra sweeps that probe the same value pair across many
-        item pairs pay for each component meet exactly once.
+        item pairs pay for each component meet exactly once.  Values in
+        different components never meet, and the root meets everything
+        in the other value, so only same-component pairs reach the
+        component's local bitsets.
         """
         self._require(a)
         self._require(b)
-        masks = self._masks()
-        if a == b:
+        if a == b or b == self.root:
             return [a]
-        meets: Dict[Tuple[str, str], Tuple[str, ...]] = masks["meets"]  # type: ignore[assignment]
+        if a == self.root:
+            return [b]
+        component = self._order()[3]
+        c = component[a]
+        if c != component[b]:
+            return []
+        return list(self._meet(a, b, c))
+
+    def _meet(self, a: str, b: str, c: int) -> Tuple[str, ...]:
+        """The memoised meet set of two distinct non-root nodes of
+        component ``c`` (see :meth:`maximal_common_descendants`)."""
+        meets = self._meets
         key = (a, b) if a <= b else (b, a)
         hit = meets.get(key)
         if hit is not None:
-            return list(hit)
-        desc = masks["desc"]
-        da, db = desc[a], desc[b]
+            return hit
+        rank, members, desc, anc = self._component_masks(c)
+        da, db = desc[rank[a]], desc[rank[b]]
         common = da & db
         if not common:
             out: List[str] = []
@@ -361,110 +409,128 @@ class Hierarchy:
         elif common == da:  # b subsumes a
             out = [a]
         else:
-            out = self._maximal_of_mask(common)
-        meets[key] = tuple(out)
-        return out
-
-    def _maximal_of_mask(self, mask: int) -> List[str]:
-        """The nodes of a bitset with no strict ancestor in the bitset,
-        in topological-rank order (only the set bits are visited)."""
-        masks = self._masks()
-        order: List[str] = masks["order"]  # type: ignore[assignment]
-        anc = masks["anc"]
-        out: List[str] = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            node = order[low.bit_length() - 1]
-            if anc[node] & mask == low:
-                out.append(node)
-            rest ^= low
-        return out
+            out = []
+            rest = common
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                if anc[i] & common == low:
+                    out.append(members[i])
+                rest ^= low
+        hit = meets[key] = tuple(out)
+        return hit
 
     def meet_closed_values(self, values: Iterable[str]) -> Set[str]:
         """The smallest superset of ``values`` closed under pairwise
         meets (:meth:`maximal_common_descendants`), computed as a bulk
         bitset sweep rather than a quadratic scan of node pairs.
 
-        Each round seeds the pool values onto their nodes, sweeps the
-        masks down (:meth:`downward_union`) and back up the class graph,
-        so every pool value knows — in one pass — exactly which other
-        pool values share a descendant with it.  Only those pairs are
-        probed for meets; comparable pairs are skipped outright (their
-        meet is the lower value, already pooled).  Disjoint-heavy pools
-        (the common case for stored relations) therefore cost O(V + E)
-        per round instead of O(pool**2) full-graph scans.
+        The root meets every value in the value itself, and a
+        forest-shaped component (see :meth:`_order`) is meet-closed as
+        it stands, so only values in branching components enter the
+        sweep.  Each round numbers those values within their
+        components, seeds them onto their nodes and sweeps the masks
+        down and back up the class graph (:meth:`overlap_union`), so
+        every pooled value knows — in one pass — exactly which others
+        share a descendant with it.  Comparable pairs (whose meet is the
+        lower value, already pooled) are dropped on the component's
+        descendant bitsets; only the incomparable overlapping pairs are
+        probed for meets.
+        Disjoint-heavy pools (the common case for stored relations)
+        therefore cost O(V + E) per round over the seeded branching
+        components, and nothing beyond the pool scan on tree-shaped
+        hierarchies.
         """
-        masks = self._masks()
-        desc = masks["desc"]
+        _, _, _, component, _, branching = self._order()
         order: List[str] = []
         pool: Set[str] = set()
         for value in values:
-            self._require(value)
+            c = component.get(value)
+            if c is None:
+                self._require(value)
             if value not in pool:
                 pool.add(value)
-                order.append(value)
+                if c in branching:
+                    order.append(value)
         start = 0
         while start < len(order):
             frontier = len(order)
-            overlap = self._overlap_masks(order[:frontier])
+            seed: Dict[str, int] = {}
+            local: List[int] = []
+            members: Dict[int, List[str]] = {}
+            for value in order[:frontier]:
+                group = members.setdefault(component[value], [])
+                local.append(len(group))
+                seed[value] = 1 << len(group)
+                group.append(value)
+            overlap = self.overlap_union(seed)
             for j in range(start, frontier):
                 vj = order[j]
-                dj = desc[vj]
-                partners = overlap[vj] & ((1 << j) - 1)
+                # Earlier pool values of vj's component overlapping it.
+                partners = overlap[vj] & ((1 << local[j]) - 1)
+                if not partners:
+                    continue
+                c = component[vj]
+                group = members[c]
+                rank, _, desc, _ = self._component_masks(c)
+                rj = rank[vj]
+                dj = desc[rj]
                 while partners:
                     low = partners & -partners
                     partners ^= low
-                    di = desc[order[low.bit_length() - 1]]
-                    common = dj & di
-                    if common == dj or common == di:
+                    vi = group[low.bit_length() - 1]
+                    ri = rank[vi]
+                    if dj >> ri & 1 or desc[ri] >> rj & 1:
                         continue  # comparable: the meet is already pooled
-                    for node in self._maximal_of_mask(common):
+                    for node in self._meet(vj, vi, c):
                         if node not in pool:
                             pool.add(node)
                             order.append(node)
             start = frontier
         return pool
 
-    def _overlap_masks(self, values: Sequence[str]) -> Dict[str, int]:
-        """For each node, the bitset of ``values`` (by position) sharing
-        at least one descendant with it."""
-        seed: Dict[str, int] = {}
-        for i, value in enumerate(values):
-            seed[value] = seed.get(value, 0) | (1 << i)
-        return self.overlap_union(seed)
-
     def overlap_union(self, seed: Dict[str, int]) -> Dict[str, int]:
         """The *overlap* analogue of :meth:`downward_union`: the result
-        at each node is the union of the seed masks of every node whose
-        descendant cone intersects its own.  One downward sweep pushes
-        each seed to the nodes it subsumes, one upward sweep unions the
-        result back over each node's descendant cone — O(V + E) for what
-        would otherwise be a cone-intersection test per (seed, node)
-        pair.  This is how the product meet-closure decides which item
-        pairs can possibly meet without probing them."""
+        at each seeded value is the union of the seed masks of every
+        seeded node whose descendant cone intersects its own.  One
+        downward sweep pushes each seed to the nodes it subsumes, one
+        upward sweep unions the result back over each node's descendant
+        cone — O(V + E) over the seeded components for what would
+        otherwise be a cone-intersection test per (seed, node) pair.
+        This is how the meet closures decide which pairs can possibly
+        meet without probing them.
+
+        Seeds are numbered per component, as for :meth:`downward_union`,
+        so the result holds only at the seeded values: nodes outside the
+        seeded components are absent, and the root's cone meets every
+        component, so its entry (present when it is seeded or the
+        hierarchy has one component) means nothing unless the root is
+        seeded itself — which puts every seed in one numbering.
+        """
         down = self.downward_union(seed)
+        children = self._children
         up: Dict[str, int] = {}
-        for node in reversed(self._masks()["order"]):  # type: ignore[arg-type]
-            mask = down[node]
-            for child in self._children[node]:
-                mask |= up[child]
-            up[node] = mask
+        for nodes in self._seeded_orders(seed):
+            for node in reversed(nodes):
+                mask = down[node]
+                for child in children[node]:
+                    mask |= up[child]
+                up[node] = mask
         return up
 
-    def descendant_mask(self, name: str) -> int:
-        """The descendant bitset of ``name`` as a Python int; bit ``i``
-        is set iff the node of :meth:`topological_rank` ``i`` is a
-        (reflexive) descendant.  This is the raw form of
-        :meth:`descendants`, exposed for batch algorithms that combine
-        many reachability facts without materialising node sets."""
-        self._require(name)
-        return self._masks()["desc"][name]  # type: ignore[index]
+    def component_map(self) -> Dict[str, int]:
+        """Node → component id: the connected components of the class
+        graph below the root, numbered in topological order of their
+        first node; the root maps to ``-1``.  Values in different
+        components share no descendant, so bitsets over a pool of
+        values can be numbered per component (see
+        :meth:`downward_union`).  Treat the returned dict as read-only —
+        it *is* the cache."""
+        return self._order()[3]
 
-    def ancestor_mask(self, name: str) -> int:
-        """The ancestor bitset of ``name`` (see :meth:`descendant_mask`)."""
-        self._require(name)
-        return self._masks()["anc"][name]  # type: ignore[index]
+    def component_count(self) -> int:
+        """The number of components below the root."""
+        return len(self._order()[4])
 
     def downward_union(self, seed: Dict[str, int]) -> Dict[str, int]:
         """Sweep integer bitmasks down the class graph in one pass.
@@ -474,18 +540,40 @@ class Hierarchy:
         subsume the node.  One O(V + E) traversal answers what would
         otherwise be a reachability query per (seed, node) pair; the
         bulk truth evaluator uses it to push every stored tuple's bit
-        down to each hierarchy node its value subsumes.  Nodes absent
-        from ``seed`` contribute the empty mask.  Redundant class edges
-        are harmless (union is idempotent); preference edges are
-        ignored, matching the applicability order.
+        down to each hierarchy node its value subsumes.
+
+        Seed bits may be numbered per component (:meth:`component_map`):
+        two values sharing a descendant share a component, so no node
+        below a seeded value ever ORs bits from two components, and a
+        node's result is read in its own component's numbering.  Only
+        the seeded components are visited; the root maps to ``0``
+        unless it is seeded, in which case every node lies below a seed
+        and the seeds must share one numbering.  Nodes of unseeded
+        components are absent.  Redundant class edges are harmless
+        (union is idempotent); preference edges are ignored, matching
+        the applicability order.
         """
-        out: Dict[str, int] = {}
-        for node in self._masks()["order"]:  # type: ignore[union-attr]
-            mask = seed.get(node, 0)
-            for parent in self._parents[node]:
-                mask |= out[parent]
-            out[node] = mask
+        parents = self._parents
+        out: Dict[str, int] = {self.root: 0}
+        for nodes in self._seeded_orders(seed):
+            for node in nodes:
+                mask = seed.get(node, 0)
+                for parent in parents[node]:
+                    mask |= out[parent]
+                out[node] = mask
         return out
+
+    def _seeded_orders(self, seed: Dict[str, int]) -> List[List[str]]:
+        """The topological node lists a sweep over ``seed`` must visit:
+        none for an empty seed, the whole order when the root is seeded
+        or there is only one component, else the seeded components' own
+        orders."""
+        if not seed:
+            return []
+        order, _, _, component, orders, _ = self._order()
+        if self.root in seed or len(orders) <= 1:
+            return [order]
+        return [orders[c] for c in sorted(set(map(component.__getitem__, seed)))]
 
     def redundant_edges(self) -> Set[Tuple[str, str]]:
         """Class edges parallel to a longer path (see the appendix).
@@ -605,16 +693,16 @@ class Hierarchy:
         # closed), so each entry is valid verbatim in the subgraph.
         # The slice is a warm-start hint, not a correctness requirement
         # (the rebuilt graph recomputes meets lazily), so it is capped,
-        # and a *cold* mask cache is never forced just to look for one:
+        # and a *cold* meet table is never forced just to look for one:
         # a cache left hot by a prior full-hierarchy sweep can hold
         # millions of entries, and scanning or shipping them would cost
         # more than the workers' own meet computation saves.
         meets: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        if self._cache_version == self._version:
-            meets_table = self._cache["meets"]
+        if self._order_version == self._version:
+            meets_table = self._meets
             cap = 4 * len(node_set)
-            if len(meets_table) <= 16 * max(1, len(node_set)):  # type: ignore[arg-type]
-                for key, value in meets_table.items():  # type: ignore[union-attr]
+            if len(meets_table) <= 16 * max(1, len(node_set)):
+                for key, value in meets_table.items():
                     if key[0] in node_set and key[1] in node_set:
                         meets[key] = value
                         if len(meets) >= cap:
@@ -689,7 +777,8 @@ class Hierarchy:
         meet-table slice).  Entries must be valid for the *current*
         graph; they are discarded with the rest of the cache on the next
         mutation, like any other memoised meet."""
-        table: Dict[Tuple[str, str], Tuple[str, ...]] = self._masks()["meets"]  # type: ignore[assignment]
+        self._order()
+        table = self._meets
         for key, value in entries:
             table[tuple(key)] = tuple(value)
 
@@ -708,66 +797,151 @@ class Hierarchy:
                 "unknown node {!r} in hierarchy {!r}".format(name, self.name)
             )
 
-    def _unpack(self, mask: int) -> Set[str]:
-        rank = self._masks()["rank"]
-        return {node for node in self._insertion if mask >> rank[node] & 1}
+    @staticmethod
+    def _unpack(members: List[str], mask: int, own: int, include_self: bool) -> Set[str]:
+        """The members selected by a component-local ``mask``, leaving
+        out position ``own`` unless ``include_self``."""
+        if not include_self:
+            mask &= ~(1 << own)
+        out: Set[str] = set()
+        while mask:
+            low = mask & -mask
+            out.add(members[low.bit_length() - 1])
+            mask ^= low
+        return out
 
-    def _order(self) -> Tuple[List[str], Dict[str, int], Dict[str, int]]:
-        """``(order, rank, insertion_rank)`` — the linear slice of the
-        cache.  Separate from :meth:`_masks` so order-only consumers
-        (sort keys, the parallel planner, payload extraction) never pay
-        for the quadratic bitset build."""
+    def _order(self) -> _OrderCache:
+        """``(order, rank, insertion_rank, component, component_orders,
+        branching)`` — the linear slice of the cache.  Order-only
+        consumers (sort keys, the sweeps, the parallel planner, payload
+        extraction) pay for no bitset build.  ``component`` is
+        :meth:`component_map`; ``component_orders[c]`` lists component
+        ``c``'s nodes in topological order; ``branching`` holds the
+        components with a node below two non-root parents.  Every other
+        component is a forest: a node's non-root ancestors form a chain,
+        so two of its nodes share a descendant only if one subsumes the
+        other."""
         if self._order_version == self._version:
             return self._order_cache
-        order = algorithms.topological_order(self._children, tie_break=self._insertion)
-        rank = {node: i for i, node in enumerate(order)}
+        children, parents, root = self._children, self._parents, self.root
         ins_rank = {node: i for i, node in enumerate(self._insertion)}
-        self._order_cache = (order, rank, ins_rank)
+        by_insertion = ins_rank.__getitem__
+        # Kahn's algorithm with ties broken by insertion rank: the order
+        # algorithms.topological_order(children, tie_break=insertion)
+        # gives, without copying the graph.  Only the root starts ready.
+        remaining = {node: len(above) for node, above in parents.items()}
+        queue = deque([root])
+        order: List[str] = []
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            ready = []
+            for child in children[node]:
+                left = remaining[child] - 1
+                remaining[child] = left
+                if not left:
+                    ready.append(child)
+            if len(ready) > 1:
+                ready.sort(key=by_insertion)
+            queue.extend(ready)
+        rank = {node: i for i, node in enumerate(order)}
+        # Components by union-find over the non-root parent edges, in
+        # topological order; then numbered by their first node.
+        link: List[int] = []
+        provisional: Dict[str, int] = {}
+        branching_roots: Set[int] = set()
+        for node in order:
+            if node == root:
+                continue
+            c = -1
+            above = parents[node]
+            for parent in above:
+                if parent == root:
+                    continue
+                pc = provisional[parent]
+                while link[pc] != pc:
+                    pc = link[pc]
+                if c < 0:
+                    c = pc
+                elif pc != c:
+                    link[pc] = c
+            if c < 0:
+                c = len(link)
+                link.append(c)
+            elif len(above) > 2 or (len(above) == 2 and root not in above):
+                branching_roots.add(c)
+            provisional[node] = c
+        component: Dict[str, int] = {root: -1}
+        label: Dict[int, int] = {}
+        orders: List[List[str]] = []
+        branching: Set[int] = set()
+        for node in order:
+            if node == root:
+                continue
+            pc = provisional[node]
+            while link[pc] != pc:
+                pc = link[pc]
+            c = label.get(pc)
+            if c is None:
+                c = label[pc] = len(orders)
+                orders.append([])
+            component[node] = c
+            orders[c].append(node)
+        for pc in branching_roots:
+            while link[pc] != pc:
+                pc = link[pc]
+            branching.add(label[pc])
+        self._order_cache = (order, rank, ins_rank, component, orders, branching)
+        self._local_masks = {}
+        self._meets = {}
         self._order_version = self._version
         return self._order_cache
 
-    def _masks(self) -> Dict[str, object]:
-        if self._cache_version == self._version:
-            return self._cache
-        order, rank, _ = self._order()
-        desc = self._descendant_masks(self._children, order, rank)
-        bind_children = self._children
-        if self.has_preference_edges():
-            bind_children = self.binding_graph()
-            bind_order = algorithms.topological_order(bind_children, tie_break=self._insertion)
-            bind_desc = self._descendant_masks(bind_children, bind_order, rank)
-        else:
-            bind_desc = desc
-        anc: Dict[str, int] = {}
-        for node in order:
-            mask = 1 << rank[node]
+    def _component_masks(
+        self, c: int
+    ) -> Tuple[Dict[str, int], List[str], List[int], List[int]]:
+        """``(local_rank, members, desc, anc)`` for component ``c``:
+        its nodes in topological order and, per local position, the
+        descendant and ancestor bitsets over those positions.  Built per
+        component on first use, so a query touching one component pays
+        only for that component's width."""
+        hit = self._local_masks.get(c)
+        if hit is not None:
+            return hit
+        members = self._order()[4][c]
+        local = {node: i for i, node in enumerate(members)}
+        desc = [0] * len(members)
+        for i in range(len(members) - 1, -1, -1):
+            mask = 1 << i
+            for child in self._children[members[i]]:
+                mask |= desc[local[child]]
+            desc[i] = mask
+        anc = [0] * len(members)
+        for i, node in enumerate(members):
+            mask = 1 << i
             for parent in self._parents[node]:
-                mask |= anc[parent]
-            anc[node] = mask
-        self._cache = {
-            "order": order,
-            "rank": rank,
-            "desc": desc,
-            "bind_desc": bind_desc,
-            "anc": anc,
-            # Meet table: (a, b) value pair -> meet set, filled lazily by
-            # maximal_common_descendants and discarded with the rest of
-            # the cache whenever the hierarchy version moves.
-            "meets": {},
-        }
-        self._cache_version = self._version
-        return self._cache
+                j = local.get(parent)
+                if j is not None:
+                    mask |= anc[j]
+            anc[i] = mask
+        hit = (local, members, desc, anc)
+        self._local_masks[c] = hit
+        return hit
 
-    @staticmethod
-    def _descendant_masks(
-        children: Dict[str, Set[str]],
-        order: Sequence[str],
-        rank: Dict[str, int],
-    ) -> Dict[str, int]:
+    def _binding_masks(self) -> Dict[str, int]:
+        """Per-node descendant bitsets of the binding graph, indexed by
+        :meth:`topological_rank`; only built when preference edges exist
+        (they may join components, so these masks are full width)."""
+        if self._binding_version == self._version:
+            return self._binding_cache
+        rank = self._order()[1]
+        children = self.binding_graph()
         masks: Dict[str, int] = {}
-        for node in reversed(order):
+        for node in reversed(algorithms.topological_order(children, tie_break=self._insertion)):
             mask = 1 << rank[node]
-            for child in children.get(node, ()):
+            for child in children[node]:
                 mask |= masks[child]
             masks[node] = mask
+        self._binding_cache = masks
+        self._binding_version = self._version
         return masks

@@ -125,11 +125,13 @@ class ProductHierarchy:
         """The smallest superset of ``items`` closed under pairwise meets.
 
         Unary products delegate to the factor's bulk closed-value-set
-        sweep (:meth:`Hierarchy.meet_closed_values`): no item pairs are
-        enumerated at all.  Higher arities probe only the pairs that can
-        possibly meet: each round, one :meth:`Hierarchy.overlap_union`
-        sweep per attribute tells every pool item which earlier items
-        share a descendant with it on that attribute, and the AND across
+        sweep (:meth:`Hierarchy.meet_closed_values`, numbered per
+        component): no item pairs are enumerated at all.  Higher arities
+        number the pool by position, as one group, and probe only the
+        pairs that can possibly meet: each round, one
+        :meth:`Hierarchy.overlap_union` sweep per attribute tells every
+        pool item which earlier items share a descendant with it on that
+        attribute, and the AND across
         attributes is exactly the pairs with a non-empty product meet.
         Disjoint-heavy pools (stored relations mostly are) therefore
         cost O(attributes · (V + E)) per round instead of a quadratic
@@ -140,8 +142,11 @@ class ProductHierarchy:
         if not pool:
             return pool
         if self.arity == 1:
-            factor = self.factors[0]
-            return {(value,) for value in factor.meet_closed_values(v for (v,) in pool)}
+            values = {v for (v,) in pool}
+            closed = self.factors[0].meet_closed_values(values)
+            if len(closed) > len(values):
+                pool.update((value,) for value in closed.difference(values))
+            return pool
         order: List[Item] = list(pool)
         start = 0
         while start < len(order):

@@ -34,7 +34,7 @@ from repro.core import bulk as _bulk
 from repro.core.conflicts import Conflict
 from repro.core.htuple import HTuple
 from repro.core.relation import HRelation
-from repro.errors import AmbiguityError, InconsistentRelationError
+from repro.errors import InconsistentRelationError
 from repro.hierarchy.product import Item
 from repro.obs import default_registry
 from repro.obs import span as _span
@@ -44,9 +44,9 @@ from repro.parallel.partition import Partition, partition_items
 from repro.parallel.snapshot import build_snapshots
 from repro.parallel.worker import FN_TOKENS
 
-#: Sentinel returned by :func:`maybe_extension` (with
-#: ``raise_on_conflict=False``) when a shard hit a conflicted atom —
-#: distinct from ``None`` ("gate declined, run serial").
+#: Sentinel returned by :func:`maybe_extension` when a shard hit a
+#: conflicted atom — distinct from ``None`` ("gate declined, run
+#: serial").
 CONFLICT = object()
 
 
@@ -325,11 +325,11 @@ def maybe_join(
     )
 
 
-def maybe_extension(relation, raise_on_conflict: bool = True):
+def maybe_extension(relation):
     """Parallel flat extension: a sorted list of atoms, ``None`` when
     the gate declines, or :data:`CONFLICT` when a shard hit a conflicted
-    atom and ``raise_on_conflict`` is off (``explicate`` then reruns the
-    legacy writer-order algorithm, exactly as serial does)."""
+    atom (callers then rerun their serial algorithm, which raises or
+    falls back exactly as it does without the parallel layer)."""
     operation_plan = plan(relation.schema, [("full", relation)])
     if not operation_plan.parallel:
         _declined(operation_plan)
@@ -351,15 +351,9 @@ def maybe_extension(relation, raise_on_conflict: bool = True):
         results = _dispatch("parallel.extension", tasks, operation_plan.workers)
         owner_of = partition.owner_map(relation.schema)
         for result in results:
-            for atom, binders in result.get("ambiguous", ()):
-                if owner_of(atom) != result["shard"]:
-                    continue
-                if not raise_on_conflict:
+            for atom, _ in result.get("ambiguous", ()):
+                if owner_of(atom) == result["shard"]:
                     return CONFLICT
-                raise AmbiguityError(
-                    tuple(atom),
-                    [(tuple(binder), truth) for binder, truth in binders],
-                )
         product = relation.schema.product
         atoms: List[Item] = []
         for result in results:

@@ -2,10 +2,8 @@
 
 A database rebuilt from its binary snapshot must be *bit-identical* to
 the original wherever the engine can observe: the asserted item → sign
-map, the stored version counters, and every bulk-evaluator posting
-mask.  Posting tables are compared over their nonzero masks — the
-codec deliberately drops zero masks, and ``applicable_mask`` treats an
-absent node and a zero mask identically.
+map, the stored version counters, and every answer — the truth of each
+stored item and hierarchy node, and the extension in emission order.
 
 The wire flavour gets the same treatment: any result rows routed
 through the columnar message blocks must decode to the exact JSON
@@ -19,11 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core import bulk
 from repro.engine import HierarchicalDatabase, codec
+from tests.answers import answers
 from tests.property.strategies import relations
-
-
-def _nonzero(tables):
-    return [{node: mask for node, mask in table.items() if mask} for table in tables]
 
 
 @settings(max_examples=40, deadline=None)
@@ -44,10 +39,9 @@ def test_snapshot_roundtrip_is_bit_identical(relation):
         assert recovered.hierarchy(name).version == hierarchy.version
         assert set(recovered.hierarchy(name).nodes()) == set(hierarchy.nodes())
 
+    assert answers(copy) == answers(relation)
     original_eval = bulk.evaluator_for(relation)
     copy_eval = bulk.evaluator_for(copy)
-    assert _nonzero(copy_eval._postings) == _nonzero(original_eval._postings)
-    # And the decoded postings actually answer queries identically.
     for item in relation.schema.product.all_items():
         assert copy_eval.truth(item) == original_eval.truth(item)
 
@@ -63,9 +57,7 @@ def test_snapshot_roundtrip_binary_arity_two(relation):
     recovered, _ = codec.decode_snapshot(codec.encode_snapshot(database))
     copy = recovered.relation(relation.name)
     assert copy.asserted == relation.asserted
-    assert _nonzero(bulk.evaluator_for(copy)._postings) == _nonzero(
-        bulk.evaluator_for(relation)._postings
-    )
+    assert answers(copy) == answers(relation)
 
 
 @settings(max_examples=60, deadline=None)

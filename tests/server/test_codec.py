@@ -84,15 +84,6 @@ class TestColumns:
             block = codec.pack_signs(truths)
             assert codec.unpack_signs(block, len(truths)) == truths
 
-    def test_postings_roundtrip_drops_zero_masks(self):
-        table = {"bird": 0b101, "penguin": 0, "tweety": 1}
-        out = codec.unpack_postings(codec.pack_postings(table))
-        assert out == {"bird": 0b101, "tweety": 1}
-
-    def test_postings_large_masks(self):
-        table = {"n": (1 << 200) | 7}
-        assert codec.unpack_postings(codec.pack_postings(table)) == table
-
 
 class TestMessages:
     def test_message_without_columns_roundtrips(self):
@@ -129,16 +120,6 @@ class TestSnapshot:
         assert copy.version == original.version
         assert recovered.relation("flies").holds("tweety")
         assert not recovered.relation("flies").holds("pingo")
-
-    def test_roundtrip_reuses_preloaded_evaluator(self):
-        from repro.core.bulk import evaluator_for
-
-        database = sample_database()
-        recovered, _ = codec.decode_snapshot(codec.encode_snapshot(database))
-        relation = recovered.relation("flies")
-        preloaded = relation._bulk_eval
-        assert preloaded is not None
-        assert evaluator_for(relation) is preloaded
 
     def test_roundtrip_preserves_views_and_extra(self):
         database = sample_database()

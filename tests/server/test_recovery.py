@@ -276,8 +276,8 @@ class TestSnapshotFormats:
 
     def test_binary_roundtrip_is_bit_identical(self, tmp_path):
         """The recovered database matches the original tuple-for-tuple,
-        sign-for-sign, and posting-mask-for-posting-mask."""
-        from repro.core.bulk import evaluator_for
+        sign-for-sign, and answer-for-answer."""
+        from tests.answers import answers
 
         manager, database, session = boot(tmp_path, snapshot_format="binary")
         session.run(SETUP)
@@ -288,9 +288,4 @@ class TestSnapshotFormats:
             copy = recovered.relation(name)
             assert copy.asserted == original.asserted
             assert copy.version == original.version
-            nonzero = lambda tables: [
-                {k: v for k, v in t.items() if v} for t in tables
-            ]
-            assert nonzero(evaluator_for(copy)._postings) == nonzero(
-                evaluator_for(original)._postings
-            )
+            assert answers(copy) == answers(original)

@@ -21,6 +21,19 @@ rebuilds whatever it caches) in both guises:
   ``algebra.union`` (one evaluator per input).  Both sides share the
   meet-closure and consolidation cost, so the speedup here bounds what
   evaluation alone can buy.
+
+One more row, **write_then_union**, times a write followed by a read on
+``cone_workload(1000, 12)`` (≈13k tuples): one autocommitted toggle of
+an instance-level exception in ``left`` (``ASSERT NOT`` / ``RETRACT``),
+then ``UNION left WITH right``.  Before: the transaction's staged copy
+carries neither its base's evaluator nor its clean-scan stamp, so the
+commit builds a fresh evaluator and scans every node for conflicts.
+After: the copy patches the base evaluator over its one change and
+probes only the changed cone.  Each side runs on its own database and
+both take the same writes in lockstep, so every round compares the
+same state; the figures are means over all toggles, so the scoped
+side's occasional full rebuild (dead bits outnumbering live ones in a
+group) is counted, and the commit's share is reported on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +50,9 @@ from repro.core import HRelation, binding, find_conflicts
 from repro.core import algebra
 from repro.core.conflicts import conflict_candidates
 from repro.core.consolidate import consolidate
-from repro.workloads.generators import membership_workload
+from repro.obs import default_registry
+from repro.engine.database import HierarchicalDatabase
+from repro.workloads.generators import cone_workload, membership_workload
 
 CLASS_COUNTS = (25, 100, 400)
 MEMBERS_PER_CLASS = 8
@@ -75,6 +90,7 @@ def cold(relation: HRelation) -> None:
     relation._binder_cache.clear()
     relation._binder_index = None
     relation._bulk_eval = None
+    relation._clean_stamp = None
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +203,75 @@ def bench_size(classes: int) -> List[Dict]:
     return rows
 
 
+def bench_write_then_union(cones: int = 1000, per_cone: int = 12, toggles: int = 20) -> Dict:
+    """Two databases on the same data, one per path, toggled in lockstep:
+    every round applies the same write to both from the same state,
+    the side that goes first alternates, and each side times as many
+    asserts as retracts.  The scoped side is never reset, so its dead
+    bits pile up and the amortised rebuild they trigger lands in its
+    mean; the builds it ran are reported as ``rebuilds``."""
+    def side(stampless: bool):
+        hierarchy, left, right = cone_workload(cones, per_cone, seed=0)
+        db = HierarchicalDatabase("bench")
+        db.register_hierarchy(hierarchy)
+        db.register_relation(left)
+        db.register_relation(right)
+        find_conflicts(left)  # the clean stamp a first commit would leave
+        algebra.union(left, right)  # both evaluators warm
+
+        def cycle():
+            start = time.perf_counter()
+            txn = db.transaction()
+            if target in db.relation("left").asserted:
+                txn.retract("left", target)
+            else:
+                txn.assert_item("left", target, truth=False)
+            if stampless:
+                staged = txn.relation("left")
+                staged._bulk_eval = None
+                staged._clean_stamp = None
+            txn.commit()
+            committed = time.perf_counter()
+            answer = algebra.union(db.relation("left"), db.relation("right"))
+            return answer, committed - start, time.perf_counter() - start
+
+        return cycle, len(left) + len(right)
+
+    target = ("c0i1",)  # odd instances are absent from left's cone c0
+    before, tuples = side(True)
+    after, _ = side(False)
+    builds = default_registry().counter("bulk.evaluator.builds")
+    totals = {before: [0.0, 0.0], after: [0.0, 0.0]}
+    rebuilds = 0
+    for round_ in range(toggles):
+        answers = []
+        for cycle in (before, after) if round_ % 2 else (after, before):
+            built = builds.value
+            answer, commit_s, total_s = cycle()
+            if cycle is after:
+                rebuilds += builds.value - built
+            totals[cycle][0] += commit_s
+            totals[cycle][1] += total_s
+            answers.append(answer)
+        assert answers[0].same_tuples_as(answers[1])  # same state, same answer
+    def ms(seconds: float) -> float:
+        return round(seconds / toggles * 1e3, 3)
+
+    return {
+        "tuples": tuples,
+        "op": "write_then_union",
+        "before_ms": ms(totals[before][1]),
+        "after_ms": ms(totals[after][1]),
+        "speedup": round(totals[before][1] / totals[after][1], 1),
+        "commit_before_ms": ms(totals[before][0]),
+        "commit_after_ms": ms(totals[after][0]),
+        "toggles": toggles,
+        "rebuilds": rebuilds,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+
+
 def main() -> None:
     rows: List[Dict] = []
     for classes in CLASS_COUNTS:
@@ -196,6 +281,14 @@ def main() -> None:
                 "T={tuples:5d} {op:15s} before={before_ms:10.2f}ms "
                 "after={after_ms:9.2f}ms speedup={speedup:6.1f}x".format(**entry)
             )
+    entry = bench_write_then_union()
+    rows.append(entry)
+    print(
+        "T={tuples:5d} {op:15s} before={before_ms:10.2f}ms "
+        "after={after_ms:9.2f}ms speedup={speedup:6.1f}x "
+        "(commit {commit_before_ms:.2f} -> {commit_after_ms:.2f}ms, "
+        "{rebuilds} rebuilds in {toggles} toggles)".format(**entry)
+    )
     payload = {
         "workload": {
             "members_per_class": MEMBERS_PER_CLASS,

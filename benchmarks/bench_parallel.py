@@ -84,9 +84,12 @@ def run_once(setup: Callable, workers: int) -> float:
 
 
 def check_identity(setup: Callable, workers: int) -> None:
+    # Fresh inputs per side: a clean conflict scan stamps its relation,
+    # and a second scan of the same one would probe nothing.
     args, op = setup()
     parallel.configure(workers=0)
     expect = op(*args)
+    args, op = setup()
     parallel.configure(workers=workers, min_tuples=0)
     got = op(*args)
     parallel.reset()

@@ -23,13 +23,20 @@ def bio():
     return biology_dataset()
 
 
+def full_scan(relation, exhaustive=False):
+    """A scan of the whole relation: a clean scan leaves a stamp that
+    lets the next scan probe only what changed since, here nothing."""
+    relation._clean_stamp = None
+    return find_conflicts(relation, exhaustive)
+
+
 def test_p7_candidate_scan_biology(bio, benchmark):
-    conflicts = benchmark(find_conflicts, bio.lays_eggs)
+    conflicts = benchmark(full_scan, bio.lays_eggs)
     assert conflicts == []
 
 
 def test_p7_exhaustive_scan_biology(bio, benchmark):
-    conflicts = benchmark(find_conflicts, bio.lays_eggs, True)
+    conflicts = benchmark(full_scan, bio.lays_eggs, True)
     assert conflicts == []
 
 
@@ -39,7 +46,7 @@ def test_p7_candidate_scan_mixed_relation(benchmark):
     relation = random_consistent_relation(
         schema, tuple_count=80, negative_ratio=0.4, seed=23
     )
-    conflicts = benchmark(find_conflicts, relation)
+    conflicts = benchmark(full_scan, relation)
     assert conflicts == []
 
 

@@ -368,25 +368,98 @@ def select(
         )
         if sharded is not None:
             return sharded
-        # The selection cone is a one-tuple relation whose truth function is
-        # plain subsumption — valid under every strategy — so it is evaluated
-        # directly instead of being materialised and re-bound.
-        evaluators = [
-            _bulk.evaluator_for(relation),
-            _bulk.ConeEvaluator(schema.product, cone_item),
-        ]
-        seeds: Set[Item] = set(relation.asserted)
-        seeds.add(cone_item)
-        return _pointwise(
-            schema,
-            relation.strategy,
-            evaluators,
+        return select_cones(
+            relation,
+            [cone_item],
             lambda a, b: a and b,
             name or "{}_where".format(relation.name),
-            seeds,
             consolidate,
             capture=capture,
         )
+
+
+def select_cones(
+    relation: HRelation,
+    cones: Sequence[Item],
+    fn: Callable[..., bool],
+    name: str,
+    consolidate: bool = True,
+    capture: Optional[Dict] = None,
+) -> HRelation:
+    """The pointwise combination of ``relation`` with the one-tuple
+    relations ``{(cone, true)}`` of each of ``cones``, by ``fn``.
+
+    A selection cone's truth function is plain subsumption — valid
+    under every strategy — so each is evaluated directly
+    (:class:`~repro.core.bulk.ConeEvaluator`) instead of being
+    materialised and re-bound.
+
+    When ``fn`` is false whenever every cone is (the relation's truth
+    given true, each cone's false), consolidation is on, the product is
+    in normal form and there is no ``capture``, the seeds are cut to
+    the stored items that may meet a cone (:func:`_meeting_seeds`).
+    The result is identical:
+    every item outside that set lies below no cone, so it is false,
+    and so is every kept subsumer of it (a true one would lie in a
+    cone whose component the item shares), so the fused consolidation
+    sweep drops it anyway; and the items inside are upward closed, so
+    neither their meets nor their kept subsumers ever came from
+    outside.
+    """
+    schema = relation.schema
+    product = schema.product
+    seeds: Optional[Set[Item]] = None
+    if (
+        consolidate
+        and capture is None
+        and not product.needs_elimination_binding()
+        and not fn(True, *[False] * len(cones))
+    ):
+        seeds = _meeting_seeds(relation, cones)
+    if seeds is None:
+        seeds = set(relation.asserted)
+    else:
+        default_registry().counter("algebra.select.scoped").inc()
+    evaluators = [_bulk.evaluator_for(relation)]
+    evaluators.extend(_bulk.ConeEvaluator(product, cone) for cone in cones)
+    return _pointwise(
+        schema,
+        relation.strategy,
+        evaluators,
+        fn,
+        name,
+        seeds.union(cones),
+        consolidate,
+        capture=capture,
+    )
+
+
+def _meeting_seeds(relation: HRelation, cones: Sequence[Item]) -> Optional[Set[Item]]:
+    """The stored items whose cone may meet one of ``cones``: those
+    whose value on every attribute a cone constrains (holds a non-root
+    node on) is the root or shares that node's component — nodes of
+    different components share no descendant.  ``None`` when a cone
+    constrains nothing (it is the top item: everything meets it)."""
+    hierarchies = relation.schema.hierarchies
+    components = [h.component_map() for h in hierarchies]
+    tests = []
+    for cone in cones:
+        test = [
+            (p, components[p][value])
+            for p, value in enumerate(cone)
+            if value != hierarchies[p].root
+        ]
+        if not test:
+            return None
+        tests.append(test)
+    seeds: Set[Item] = set()
+    for test in tests:
+        kept: Iterable[Item] = relation.asserted
+        for p, c in test:
+            component = components[p]
+            kept = [item for item in kept if component[item[p]] in (c, -1)]
+        seeds.update(kept)
+    return seeds
 
 
 # ----------------------------------------------------------------------

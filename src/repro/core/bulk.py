@@ -49,13 +49,24 @@ Strategy coverage mirrors :mod:`repro.core.preemption`:
 
 Evaluators are immutable snapshots keyed on ``(strategy, relation
 version, hierarchy versions)``; :func:`evaluator_for` memoises the
-current one on the relation, so interleaved reads share a single sweep
-and any mutation transparently invalidates it.
+current one on the relation, so interleaved reads share a single sweep.
+A write does not throw the sweep away: the next read patches the stale
+snapshot forward over the relation's delta log
+(:meth:`BulkEvaluator.derived`) — a new tuple takes a fresh bit in its
+component, ORed into the postings over its values' cones; a retracted
+one has its bit cleared there, left allocated but dead; a sign flip
+moves one bit between the sign masks — into a new snapshot, leaving the
+old one intact for readers still holding it.  ``HRelation.copy`` hands
+its evaluator to the copy, so a transaction's staged copy pays for its
+own changes only.  Unscoped wipes, hierarchy edits, a root-valued tuple
+under per-component numbering, and groups whose dead bits outnumber
+their live ones get a full build instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import copy
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.core import binding as _binding
@@ -106,11 +117,7 @@ class Layout:
             if -1 not in groups:
                 self.components = component
         if self.components is None:
-            self.groups: Sequence[int] = [0] * n
-            self.local: Sequence[int] = range(n)
-            #: group -> number of items in it
-            self.sizes: Dict[int, int] = {0: n} if n else {}
-            self._members: Optional[Dict[int, Sequence[int]]] = {0: range(n)}
+            self._single(n)
             return
         sizes: Dict[int, int] = {}
         local: List[int] = []
@@ -122,6 +129,48 @@ class Layout:
         self.local = local
         self.sizes = sizes
         self._members = None
+
+    def _single(self, n: int) -> None:
+        """Number ``n`` items as the single group ``0``, by position."""
+        self.groups: Sequence[int] = [0] * n
+        self.local: Sequence[int] = range(n)
+        #: group -> number of bits allocated in it
+        self.sizes: Dict[int, int] = {0: n} if n else {}
+        self._members: Optional[Dict[int, Sequence[int]]] = {0: range(n)}
+
+    def extended(self, items: Sequence[Item]) -> Optional["Layout"]:
+        """This numbering carried over to ``items``: this layout's items
+        followed by new ones.  Old items keep their bits (a retracted
+        item's bit stays allocated, dead); each new item takes the next
+        free bit of its group.  ``None`` when a new item's value is the
+        root under a per-component numbering, whose bits would reach
+        every group."""
+        out = Layout.__new__(Layout)
+        out.schema = self.schema
+        out.items = items
+        out.components = components = self.components
+        if components is None:
+            out._single(len(items))
+            return out
+        groups = list(self.groups)
+        local = list(self.local)
+        sizes = dict(self.sizes)
+        members = None if self._members is None else dict(self._members)
+        for i in range(len(self.items), len(items)):
+            group = components[items[i][0]]
+            if group < 0:
+                return None
+            j = sizes.get(group, 0)
+            sizes[group] = j + 1
+            groups.append(group)
+            local.append(j)
+            if members is not None:
+                members[group] = [*members.get(group, ()), i]
+        out.groups = groups
+        out.local = local
+        out.sizes = sizes
+        out._members = members
+        return out
 
     def members(self, group: int) -> Sequence[int]:
         """The item indices of ``group``, by local bit."""
@@ -195,6 +244,14 @@ class BulkEvaluator:
     auto-refreshed instance.
     """
 
+    # Slots keep attribute reads on the query path equally fast for a
+    # patched copy (:meth:`derived`) and a fresh build.
+    __slots__ = (
+        "relation", "strategy", "_product", "_asserted", "_items", "key",
+        "_layout", "_pos", "_neg", "_delegate_all", "_minimal_exact",
+        "_postings", "_above", "_dead",
+    )
+
     def __init__(self, relation, strategy=None) -> None:
         chosen = strategy if strategy is not None else relation.strategy
         self.relation = relation
@@ -218,6 +275,120 @@ class BulkEvaluator:
         # Strict asserted subsumers per stored tuple, filled lazily:
         # only queries that reach the minimality check pay for them.
         self._above: List[Optional[int]] = [None] * len(self._items)
+        #: group -> how many of its bits belong to retracted items (only
+        #: a patched evaluator has any)
+        self._dead: Dict[int, int] = {}
+
+    def derived(self, relation, changes: Sequence[Item]) -> Optional["BulkEvaluator"]:
+        """The evaluator of ``relation``, whose state is this snapshot's
+        relation with ``changes`` (:meth:`HRelation.changes_since` this
+        snapshot's version) applied, patched from this one; ``None``
+        when only a full build will do.
+
+        Each changed item is compared between this snapshot and the
+        relation.  A new item takes a fresh bit of its group
+        (:meth:`Layout.extended`), ORed into the postings over the cone
+        of each of its values; a retracted one has its bit cleared from
+        those postings and the sign masks and leaves it allocated, dead;
+        a sign flip moves the bit between the sign masks.  The strict
+        subsumer memos of every group an item entered or left are
+        dropped.  Structures a change touches are copied first, so this
+        snapshot — which readers may still hold — is never altered.
+
+        A full build is cheaper or needed when nothing was swept (no
+        items, or preference edges delegate every query), when a new
+        root-valued item would merge per-component groups, or when a
+        group's dead bits would outnumber its live ones.
+        """
+        asserted = relation.asserted
+        out = copy.copy(self)
+        out.relation = relation
+        out.key = (self.key[0], relation.version, self.key[2])
+        before = self._asserted
+        added: List[Item] = []
+        removed: List[Item] = []
+        flipped: List[Item] = []
+        for item in dict.fromkeys(changes):
+            old, new = before.get(item), asserted.get(item)
+            if old is None:
+                if new is not None:
+                    added.append(item)
+            elif new is None:
+                removed.append(item)
+            elif new != old:
+                flipped.append(item)
+        if not (added or removed or flipped):
+            return out
+        if self._delegate_all or not self._items:
+            return None
+        out._asserted = dict(asserted)
+        pos, neg = dict(self._pos), dict(self._neg)
+        out._pos, out._neg = pos, neg
+        for item in flipped:
+            group, bit = self._locate(item)
+            if asserted[item]:
+                pos[group] = pos.get(group, 0) | bit
+                neg[group] &= ~bit
+            else:
+                neg[group] = neg.get(group, 0) | bit
+                pos[group] &= ~bit
+        if not (added or removed):
+            return out
+        layout = self._layout
+        if added:
+            out._items = self._items + added
+            layout = layout.extended(out._items)
+            if layout is None:
+                return None
+            out._layout = layout
+        dead = dict(self._dead)
+        out._dead = dead
+        hierarchies = relation.schema.hierarchies
+        postings = [dict(p) for p in self._postings]
+        out._postings = postings
+        touched = set()
+        for item in removed:
+            group, bit = self._locate(item)
+            touched.add(group)
+            dead[group] = dead.get(group, 0) + 1
+            if 2 * dead[group] > layout.sizes[group]:
+                return None
+            pos[group] = pos.get(group, 0) & ~bit
+            neg[group] = neg.get(group, 0) & ~bit
+            for posting, hierarchy, value in zip(postings, hierarchies, item):
+                for node in hierarchy.descendants(value):
+                    mask = posting.get(node)
+                    if mask is not None:
+                        posting[node] = mask & ~bit
+        first = len(self._items)
+        for index in range(first, first + len(added)):
+            item = out._items[index]
+            group = layout.groups[index]
+            bit = 1 << layout.local[index]
+            touched.add(group)
+            if asserted[item]:
+                pos[group] = pos.get(group, 0) | bit
+            else:
+                neg[group] = neg.get(group, 0) | bit
+            for posting, hierarchy, value in zip(postings, hierarchies, item):
+                for node in hierarchy.descendants(value):
+                    posting[node] = posting.get(node, 0) | bit
+        above = self._above + [None] * len(added)
+        for group in touched:
+            for index in layout.members(group):
+                above[index] = None
+        out._above = above
+        return out
+
+    def _locate(self, item: Item) -> Tuple[int, int]:
+        """``(group, bit mask)`` of a live stored ``item``: the one bit
+        of its own applicability mask that belongs to it."""
+        group = self._group(item)
+        members = self._layout.members(group)
+        for j in _iter_bits(_applicable(self._postings, item)):
+            if self._items[members[j]] == item:
+                return group, 1 << j
+        raise KeyError(item)
 
     # ------------------------------------------------------------------
     # masks
@@ -323,9 +494,10 @@ class BulkEvaluator:
         """Truth values for many (schema-checked) items at once."""
         return [self.truth(item) for item in items]
 
-    def mixed_sign_items(self) -> List[Item]:
+    def mixed_sign_items(self, under: Optional[Sequence[Item]] = None) -> List[Item]:
         """Every domain item with tuples of *both* signs applicable, in
-        a linear extension of the subsumption order.
+        a linear extension of the subsumption order; with ``under``,
+        only those inside the cone of one of those items.
 
         Any conflicted item's strongest binders are a sign-mixed subset
         of its applicable set — under every strategy — so this is a
@@ -342,8 +514,17 @@ class BulkEvaluator:
         if not neg or not pos:
             return []
         components = self._layout.components
+        posting = self._postings[0]
+        if under is None:
+            nodes: Iterable[str] = posting
+        else:
+            hierarchy = self._product.factors[0]
+            nodes = set()
+            for (value,) in under:
+                nodes.update(hierarchy.descendants(value))
         out = []
-        for node, mask in self._postings[0].items():
+        for node in nodes:
+            mask = posting.get(node)
             if mask:
                 group = 0 if components is None else components[node]
                 if mask & pos.get(group, 0) and mask & neg.get(group, 0):
@@ -528,22 +709,43 @@ def merge_emitted(product, parts: Sequence[Sequence[Tuple[Item, bool]]]) -> List
 
 
 def evaluator_for(relation, strategy=None) -> BulkEvaluator:
-    """The relation's current evaluator, rebuilt only when the relation
-    or a hierarchy it is defined over has changed since the last call."""
+    """The relation's current evaluator.
+
+    A cached evaluator whose key still matches is reused.  A stale one —
+    left by an earlier version of the relation, or handed to it by
+    :meth:`HRelation.copy` — is patched forward over
+    :meth:`HRelation.changes_since` its version
+    (:meth:`BulkEvaluator.derived`) when the strategy and the
+    hierarchies are unchanged and the delta log still covers the gap;
+    anything else is a full build."""
     chosen = strategy if strategy is not None else relation.strategy
-    key = (chosen.name, relation.version, relation.schema.product.version)
+    product_version = relation.schema.product.version
+    key = (chosen.name, relation.version, product_version)
     cached = getattr(relation, "_bulk_eval", None)
-    if cached is not None and cached.key == key:
-        _obs.default_registry().counter("bulk.evaluator.reuses").inc()
-        return cached
-    _obs.default_registry().counter("bulk.evaluator.builds").inc()
-    with _obs.span(
-        "bulk.build_evaluator",
-        relation=relation.name,
-        tuples=len(relation.asserted),
-        strategy=chosen.name,
-    ):
-        evaluator = BulkEvaluator(relation, chosen)
+    registry = _obs.default_registry()
+    evaluator = None
+    if cached is not None:
+        if cached.key == key and cached.relation is relation:
+            registry.counter("bulk.evaluator.reuses").inc()
+            return cached
+        if cached.key[0] == chosen.name and cached.key[2] == product_version:
+            changes = relation.changes_since(cached.key[1])
+            if changes is not None:
+                with _obs.span(
+                    "bulk.patch_evaluator", relation=relation.name, changes=len(changes)
+                ):
+                    evaluator = cached.derived(relation, changes)
+                if evaluator is not None:
+                    registry.counter("bulk.evaluator.patches").inc()
+    if evaluator is None:
+        registry.counter("bulk.evaluator.builds").inc()
+        with _obs.span(
+            "bulk.build_evaluator",
+            relation=relation.name,
+            tuples=len(relation.asserted),
+            strategy=chosen.name,
+        ):
+            evaluator = BulkEvaluator(relation, chosen)
     try:
         relation._bulk_eval = evaluator
     except AttributeError:

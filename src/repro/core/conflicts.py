@@ -39,14 +39,40 @@ set.  That probe may surface conflicted items *below* a meet candidate
 as well; they are genuine conflicts, so callers relying on "candidates
 ⊆ exhaustive" are unaffected.  Redundant-edge hierarchies keep the
 historical meet probe (whose coverage there is heuristic anyway).
+
+**Scoped scans.**  Section 3.1 checks every update for *new*
+unresolved conflicts, and a commit is one update: a scan that finds
+nothing stamps the relation with its ``(version, product version,
+strategy)``, and the next scan of a relation holding a matching stamp
+probes only the candidates inside the cone of an item changed since
+(:meth:`HRelation.changes_since`) — on unary normal-form schemas the
+mixed-sign nodes under the changed values, otherwise the meet
+candidates under a changed item.  The answer equals the full scan's:
+
+    Truth and binders at an item *y* depend only on the stored tuples
+    subsuming *y* (their items and signs) and on the hierarchy.  If no
+    changed item subsumes *y*, that set is what it was at the stamp.
+    A full-scan candidate *y* outside every changed cone was a
+    candidate of the stamped scan too: a mixed-sign node's applicable
+    tuples are unchanged, and a meet candidate is a meet of two stored
+    items neither of which changed (a changed one would subsume *y*).
+    The stamped scan found no conflict at *y*, and nothing it depends
+    on moved.  So every conflict the full scan reports lies in a
+    changed cone, where the scoped scan probes exactly the full scan's
+    candidates, in the same order.  ∎
+
+``load_tuples`` and ``clear`` drop the stamp; a hierarchy edit, a
+strategy swap or a delta log that no longer reaches back to the stamp
+voids it.  The scoped path is tried before the parallel gate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
+from repro import obs as _obs
 from repro.core import bulk as _bulk
 from repro.core.htuple import HTuple
 from repro.hierarchy.product import Item
@@ -111,23 +137,66 @@ def conflict_candidates(relation) -> List[Item]:
     return product.topological_sort(seen)
 
 
+def _changes_since_clean(relation):
+    """The items changed since the relation's last conflict-free scan,
+    or ``None`` when there is no usable stamp: none recorded, the
+    hierarchies or the strategy moved since, or the delta log no longer
+    reaches back to it."""
+    stamp = getattr(relation, "_clean_stamp", None)
+    if stamp is None:
+        return None
+    version, product_version, strategy = stamp
+    if (
+        product_version != relation.schema.product.version
+        or strategy != relation.strategy.name
+    ):
+        return None
+    return relation.changes_since(version)
+
+
 def find_conflicts(relation, exhaustive: bool = False) -> List[Conflict]:
     """All conflicts in ``relation``.
 
     ``exhaustive=True`` scans every item of D* — exponential in arity,
     intended for tests and tiny universes; the default probes only the
     meet candidates (complete for off-path preemption, see module doc).
+    A scan that finds nothing stamps the relation, and a later scan
+    probes only the cones of the items changed since (module doc).
     """
-    product = relation.schema.product
-    if not exhaustive:
-        from repro import parallel as _parallel
+    # Taken before the scan: a stamp must never claim a later state
+    # than the one scanned.
+    stamp = (relation.version, relation.schema.product.version, relation.strategy.name)
+    changed = None if exhaustive else _changes_since_clean(relation)
+    with _obs.span(
+        "conflicts.scan", relation=relation.name, scoped=changed is not None
+    ) as sp:
+        if changed is not None:
+            _obs.default_registry().counter("conflicts.scans.scoped").inc()
+            out = _probe(relation, sp, changed=changed) if changed else []
+        else:
+            out = None
+            if not exhaustive:
+                from repro import parallel as _parallel
 
-        sharded = _parallel.maybe_conflicts(relation)
-        if sharded is not None:
-            return sharded
+                out = _parallel.maybe_conflicts(relation)
+            if out is None:
+                out = _probe(relation, sp, exhaustive=exhaustive)
+        if not out:
+            try:
+                relation._clean_stamp = stamp
+            except AttributeError:
+                pass
+        return out
+
+
+def _probe(relation, sp, exhaustive: bool = False, changed=None) -> List[Conflict]:
+    """Evaluate the probe set — every item of D*, or the candidates,
+    cut to the cones of the ``changed`` items when given — and return
+    the conflicted items, in probe order."""
+    product = relation.schema.product
     evaluator = _bulk.evaluator_for(relation)
     if exhaustive:
-        candidates: Iterator[Item] | List[Item] = product.all_items()
+        candidates: Iterable[Item] = product.all_items()
     elif relation.schema.arity == 1 and not product.needs_elimination_binding():
         # Unary normal-form schemas skip the pairwise meets entirely:
         # the sweep's posting masks name every node with both signs
@@ -136,9 +205,14 @@ def find_conflicts(relation, exhaustive: bool = False) -> List[Conflict]:
         # is still a real conflict, so soundness is untouched).  With
         # redundant or preference edges the probe stays the meet set,
         # keeping the historical (heuristic) coverage there.
-        candidates = evaluator.mixed_sign_items()
+        candidates = evaluator.mixed_sign_items(under=changed)
     else:
         candidates = conflict_candidates(relation)
+        if changed is not None:
+            covers = _bulk.cover_masks(
+                relation.schema, list(dict.fromkeys(changed)), candidates
+            )
+            candidates = [item for item, mask in zip(candidates, covers) if mask]
     out: List[Conflict] = []
     seen: Set[Item] = set()
     for item in candidates:
@@ -148,6 +222,7 @@ def find_conflicts(relation, exhaustive: bool = False) -> List[Conflict]:
         if evaluator.truth(item) is None:
             _, binders = evaluator.truth_and_binders(item)
             out.append(Conflict(item=item, binders=tuple(binders)))
+    sp.annotate(probes=len(seen))
     return out
 
 

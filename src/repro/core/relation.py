@@ -69,6 +69,11 @@ class HRelation:
         self._binder_cache: Dict[object, Tuple[HTuple, ...]] = {}
         self._binder_index = None
         self._bulk_eval = None
+        #: ``(version, product version, strategy name)`` at which a
+        #: conflict scan last found none; later scans probe only the
+        #: cones of the items changed since (see
+        #: :func:`repro.core.conflicts.find_conflicts`).
+        self._clean_stamp: Optional[Tuple[int, Tuple[int, ...], str]] = None
         #: Recent mutations as ``(version, item)`` pairs; ``item`` is the
         #: touched item.  Incremental consumers (materialized views, the
         #: engine query cache) replay it via :meth:`changes_since`.
@@ -157,6 +162,7 @@ class HRelation:
         self._binder_cache = {}
         self._binder_index = None
         self._bulk_eval = None
+        self._clean_stamp = None
 
     def retract(self, item: Sequence[str]) -> None:
         """Remove the tuple asserted at ``item``; raises if absent."""
@@ -177,6 +183,7 @@ class HRelation:
 
     def clear(self) -> None:
         self._tuples.clear()
+        self._clean_stamp = None
         self._bump()
 
     def _bump(self, changed: Item | None = None, delta: int = 0) -> None:
@@ -273,13 +280,19 @@ class HRelation:
         a transaction and later installed in place of the original reads
         as a *continuation* of its history: version stamps stay
         monotonic (query-cache keys cannot collide with the original's)
-        and ``changes_since`` keeps working across the swap.
+        and ``changes_since`` keeps working across the swap.  The
+        evaluator and the clean-scan stamp carry over too: the copy's
+        first evaluation patches this relation's evaluator forward over
+        its own changes, and its first conflict scan probes only their
+        cones.
         """
         out = HRelation(self.schema, name=name or self.name, strategy=self.strategy)
         out._tuples = dict(self._tuples)
         out._version = self._version
         out._delta_log = list(self._delta_log)
         out._delta_floor = self._delta_floor
+        out._bulk_eval = self._bulk_eval
+        out._clean_stamp = self._clean_stamp
         return out
 
     def same_tuples_as(self, other: "HRelation") -> bool:

@@ -556,8 +556,10 @@ class HQLExecutor:
     def _exec_extension(self, stmt: ast.Extension) -> Result:
         relation = self._relation(stmt.relation)
         rows = sorted(relation.extension())
-        table = render_rows(list(relation.schema.attributes), rows)
-        return Result(kind="extension", payload=rows, message=table)
+        attributes = list(relation.schema.attributes)
+        return Result(
+            kind="extension", payload=rows, render=lambda: render_rows(attributes, rows)
+        )
 
     def _exec_show(self, stmt: ast.Show) -> Result:
         if stmt.what == "RELATIONS":

@@ -100,11 +100,12 @@ class Transaction:
 
     def pending_conflicts(self) -> Dict[str, List[Conflict]]:
         """Conflicts in each staged relation, keyed by relation name."""
-        return {
-            name: find_conflicts(relation)
-            for name, relation in self._staged.items()
-            if find_conflicts(relation)
-        }
+        pending: Dict[str, List[Conflict]] = {}
+        for name, relation in self._staged.items():
+            conflicts = find_conflicts(relation)
+            if conflicts:
+                pending[name] = conflicts
+        return pending
 
     def _rebase(self) -> None:
         """Re-fork from the live catalog and replay this transaction's

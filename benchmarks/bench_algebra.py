@@ -119,11 +119,14 @@ def timed(fn: Callable[[], object], repeat: int) -> float:
 
 
 def cold(*relations: HRelation) -> None:
-    """Forget relation-level derived state (hierarchy caches stay)."""
+    """Forget relation-level derived state (hierarchy caches stay),
+    including the operators' memo, so a repeated operator recomputes
+    in full instead of patching its last evaluation."""
     for relation in relations:
         relation._binder_cache.clear()
         relation._binder_index = None
         relation._bulk_eval = None
+        relation._pointwise_memo = None
 
 
 # ----------------------------------------------------------------------

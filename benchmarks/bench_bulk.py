@@ -26,10 +26,12 @@ One more row, **write_then_union**, times a write followed by a read on
 ``cone_workload(1000, 12)`` (≈13k tuples): one autocommitted toggle of
 an instance-level exception in ``left`` (``ASSERT NOT`` / ``RETRACT``),
 then ``UNION left WITH right``.  Before: the transaction's staged copy
-carries neither its base's evaluator nor its clean-scan stamp, so the
-commit builds a fresh evaluator and scans every node for conflicts.
-After: the copy patches the base evaluator over its one change and
-probes only the changed cone.  Each side runs on its own database and
+carries neither its base's evaluator, nor its clean-scan stamp, nor
+the operators' memo, so the commit builds a fresh evaluator and scans
+every node for conflicts, and the union recomputes every candidate.
+After: the copy patches the base evaluator over its one change, probes
+only the changed cone, and the union patches its last evaluation over
+the cones changed since.  Each side runs on its own database and
 both take the same writes in lockstep, so every round compares the
 same state; the figures are means over all toggles, so the scoped
 side's occasional full rebuild (dead bits outnumbering live ones in a
@@ -91,6 +93,7 @@ def cold(relation: HRelation) -> None:
     relation._binder_index = None
     relation._bulk_eval = None
     relation._clean_stamp = None
+    relation._pointwise_memo = None
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +230,7 @@ def bench_write_then_union(cones: int = 1000, per_cone: int = 12, toggles: int =
             else:
                 txn.assert_item("left", target, truth=False)
             if stampless:
-                staged = txn.relation("left")
-                staged._bulk_eval = None
-                staged._clean_stamp = None
+                cold(txn.relation("left"))
             txn.commit()
             committed = time.perf_counter()
             answer = algebra.union(db.relation("left"), db.relation("right"))

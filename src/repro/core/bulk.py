@@ -613,8 +613,8 @@ def cover_masks(schema, covers: Sequence[Item], items: Sequence[Item]) -> List[i
 
     One posting sweep per attribute (seed each cover's bit on its value,
     :meth:`Hierarchy.downward_union` pushes it over the value's cone)
-    answers every (cover, item) subsumption test at once.  The delta
-    view-refresh path uses this as its changed-cone test: an item lies
+    answers every (cover, item) subsumption test at once.  The scoped
+    conflict scan uses this as its changed-cone test: an item lies
     inside the union of the mutated items' descendant cones iff its
     mask is non-zero.
     """
@@ -628,8 +628,7 @@ def overlap_masks(schema, items: Sequence[Item]) -> Tuple[Layout, List[int]]:
     group of the returned :class:`Layout` — the AND across attributes of
     one :meth:`Hierarchy.overlap_union` sweep each.  Pairs with a zero
     bit are disjoint and need no meet probe (optimistic disjointness);
-    this is the pruning mask the conflict scan and the view refresh
-    share.
+    this is the conflict scan's pruning mask.
     """
     layout = Layout(schema, items)
     masks: List[int] = []

@@ -275,8 +275,11 @@ class Hierarchy:
     def leaves_under(self, name: str) -> List[str]:
         """The atoms of class ``name``: its leaf descendants (or itself),
         in insertion order.  Walks the cone directly — O(cone) instead of
-        a full-width bitset scan, and never forces the mask build."""
+        a full-width bitset scan, and never forces the mask build; a leaf
+        is its own only atom and skips the walk."""
         self._require(name)
+        if not self._children[name]:
+            return [name]
         ins_rank = self._order()[2]
         leaves = [
             node
@@ -359,6 +362,25 @@ class Hierarchy:
             return {name} if include_self else set()
         local, members, _, anc = self._component_masks(self._order()[3][name])
         out = self._unpack(members, anc[local[name]], local[name], include_self)
+        out.add(self.root)
+        return out
+
+    def overlapping(self, name: str) -> Set[str]:
+        """The nodes whose descendant cone meets ``name``'s: every node
+        for the root, else the root plus the members of ``name``'s own
+        component lying above one of its descendants (for a leaf, just
+        its ancestors)."""
+        self._require(name)
+        if name == self.root:
+            return set(self._order()[0])
+        local, members, desc, anc = self._component_masks(self._order()[3][name])
+        mask = 0
+        rest = desc[local[name]]
+        while rest:
+            low = rest & -rest
+            mask |= anc[low.bit_length() - 1]
+            rest ^= low
+        out = self._unpack(members, mask, 0, True)
         out.add(self.root)
         return out
 

@@ -28,7 +28,7 @@ Structural facts used throughout (proved componentwise):
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import SchemaError, UnknownNodeError
 from repro.hierarchy.graph import Hierarchy
@@ -193,22 +193,23 @@ class ProductHierarchy:
         """
         return tuple(h.topological_rank(v) for h, v in zip(self.factors, item))
 
-    def topological_sort(
-        self, items: Iterable[Item], reverse: bool = False
-    ) -> List[Item]:
-        """``sorted(items, key=self.topological_key)``, with the
-        per-factor rank dicts bound once up front.  Use this on hot
-        paths: :meth:`topological_key` re-resolves every factor's rank
-        table per item, which dominates large candidate sorts."""
+    def sort_key(self) -> Callable[[Item], object]:
+        """:meth:`topological_key` with the per-factor rank dicts bound
+        once up front.  Use this on hot paths: :meth:`topological_key`
+        re-resolves every factor's rank table per item, which dominates
+        large candidate sorts.  Distinct items get distinct keys."""
         ranks = [h.topological_ranks() for h in self.factors]
         if self.arity == 1:
             first = ranks[0]
-            key = lambda item: first[item[0]]  # noqa: E731
-        else:
-            key = lambda item: tuple(  # noqa: E731
-                rank[value] for rank, value in zip(ranks, item)
-            )
-        return sorted(items, key=key, reverse=reverse)
+            return lambda item: first[item[0]]
+        return lambda item: tuple(rank[value] for rank, value in zip(ranks, item))
+
+    def topological_sort(
+        self, items: Iterable[Item], reverse: bool = False
+    ) -> List[Item]:
+        """``sorted(items, key=self.topological_key)``, through
+        :meth:`sort_key`."""
+        return sorted(items, key=self.sort_key(), reverse=reverse)
 
     # ------------------------------------------------------------------
     # neighbourhood / cones

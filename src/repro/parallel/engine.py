@@ -3,8 +3,7 @@
 Every parallel entry point follows one shape:
 
 1. **Gate** — cheap checks that decide serial vs parallel *before* any
-   partitioning work: layer enabled, no ``capture`` hook, a picklable
-   combining function, sweep-friendly hierarchies, and a cost gate —
+   partitioning work: layer enabled, a picklable combining function, sweep-friendly hierarchies, and a cost gate —
    the planner's priced serial-vs-dispatch comparison
    (:func:`repro.planner.parallel_gate`), or the fixed ``min_tuples``
    constant when the planner is off; either way small workloads never
@@ -99,7 +98,6 @@ def plan(
     input_specs: Sequence[tuple],
     extra_seeds: Sequence[Item] = (),
     fn_token: Optional[str] = None,
-    capture=None,
 ) -> Plan:
     """Gate + partition; never dispatches.  ``input_specs`` entries are
     ``("full", relation)``, ``("proj", relation, positions)`` or
@@ -109,8 +107,6 @@ def plan(
         return Plan(reason="disabled")
     if _worker_active():
         return Plan(reason="inside a worker")
-    if capture is not None:
-        return Plan(reason="capture hook requested")
     if fn_token is not None and fn_token not in FN_TOKENS:
         return Plan(reason="combining function is not shippable")
     product = schema.product
@@ -207,12 +203,9 @@ def maybe_pointwise(
     name: str,
     extra_seeds: Sequence[Item] = (),
     consolidate: bool = True,
-    capture=None,
 ) -> Optional[HRelation]:
     """Parallel pointwise combinator, or ``None`` for the serial path."""
-    operation_plan = plan(
-        schema, input_specs, extra_seeds, fn_token=fn_token, capture=capture
-    )
+    operation_plan = plan(schema, input_specs, extra_seeds, fn_token=fn_token)
     if not operation_plan.parallel:
         _declined(operation_plan)
         return None
@@ -254,9 +247,7 @@ def maybe_pointwise(
                 for result in results
             ],
         )
-        out = HRelation(schema, name=name, strategy=strategy)
-        for item, truth in merged:
-            out.assert_item(item, truth=truth)
+        out = HRelation.from_ordered(schema, dict(merged), name=name, strategy=strategy)
         sp.annotate(tuples_out=len(out))
         return out
 
@@ -267,7 +258,6 @@ def maybe_combine(
     name: str,
     extra_items: Sequence[Item] = (),
     consolidate: bool = True,
-    capture=None,
 ) -> Optional[HRelation]:
     return maybe_pointwise(
         relations[0].schema,
@@ -277,7 +267,6 @@ def maybe_combine(
         name,
         extra_seeds=tuple(extra_items),
         consolidate=consolidate,
-        capture=capture,
     )
 
 
@@ -286,7 +275,6 @@ def maybe_select(
     cone_item: Item,
     name: str,
     consolidate: bool = True,
-    capture=None,
 ) -> Optional[HRelation]:
     return maybe_pointwise(
         relation.schema,
@@ -296,7 +284,6 @@ def maybe_select(
         name,
         extra_seeds=(cone_item,),
         consolidate=consolidate,
-        capture=capture,
     )
 
 

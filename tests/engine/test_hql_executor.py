@@ -229,3 +229,44 @@ class TestAutocommitIntegrity:
         # Resolving and writing in one transaction goes through.
         db.execute("BEGIN; ASSERT flies (duck); ASSERT flies (tweety); COMMIT;")
         assert db.relation("flies").holds("duck")
+
+
+class TestPatchedSetOperators:
+    """A set operator after a one-tuple autocommit must patch its last
+    evaluation, not recompute it: a silent fallback to the full path
+    fails here rather than in the next benchmark run."""
+
+    @pytest.fixture
+    def serial(self):
+        from repro import parallel
+
+        parallel.configure(workers=0)
+        yield
+        parallel.reset()
+
+    def patched(self):
+        from repro.obs import default_registry
+
+        return default_registry().counter("algebra.combine.patched").value
+
+    def test_autocommit_then_union_is_patched(self, db, serial):
+        db.execute("CREATE RELATION swims (creature: animal); ASSERT swims (penguin);")
+        db.execute("UNION flies WITH swims;")
+        before = self.patched()
+        db.execute("ASSERT NOT flies (tweety);")
+        (result,) = db.execute("UNION flies WITH swims;")
+        assert self.patched() == before + 1
+        assert sorted(x[0] for x in result.payload.extension()) == ["pamela", "paul"]
+        db.execute("RETRACT flies (tweety);")
+        (plan,) = db.execute("EXPLAIN ANALYZE UNION flies WITH swims;")
+        assert "patched=yes" in plan.message
+        assert "changed=1" in plan.message
+
+    def test_hierarchy_edit_recomputes(self, db, serial):
+        db.execute("CREATE RELATION swims (creature: animal); ASSERT swims (penguin);")
+        db.execute("UNION flies WITH swims;")
+        before = self.patched()
+        db.execute("CREATE INSTANCE percy IN animal UNDER penguin;")
+        (result,) = db.execute("UNION flies WITH swims;")
+        assert self.patched() == before
+        assert ("percy",) in set(result.payload.extension())

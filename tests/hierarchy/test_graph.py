@@ -165,6 +165,22 @@ class TestLeaves:
         assert set(animal.leaves_under("bird")) == {"penguin", "tweety"}
         assert animal.leaves_under("tweety") == ["tweety"]
 
+    def test_leaf_is_its_own_atom_without_a_cone_walk(self, animal, monkeypatch):
+        def walk(values):
+            raise AssertionError("walked the cone of a leaf")
+
+        monkeypatch.setattr(animal, "downward_closure", walk)
+        assert animal.leaves_under("tweety") == ["tweety"]
+        assert animal.leaves_under("penguin") == ["penguin"]  # childless class
+        with pytest.raises(UnknownNodeError):
+            animal.leaves_under("dodo")
+
+    def test_class_lists_its_leaves_in_insertion_order(self, animal):
+        animal.add_instance("pingu", parents=["penguin", "canary"])
+        assert animal.leaves_under("bird") == ["tweety", "pingu"]
+        assert animal.leaves_under("animal") == ["tweety", "pingu"]
+        assert animal.leaves_under("canary") == ["tweety", "pingu"]
+
     def test_childless_class_is_leaf(self, animal):
         assert animal.is_leaf("penguin")
         assert not animal.is_instance("penguin")

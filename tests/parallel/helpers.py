@@ -61,3 +61,14 @@ def same_relation(one: HRelation, other: HRelation) -> bool:
 
 def flat_atoms(relation: HRelation) -> List[tuple]:
     return sorted(extension_relation(relation).asserted)
+
+
+def without_memos(*args):
+    """``args``, with the operators' memo dropped from every relation
+    among them, so that the next operator over them evaluates from
+    scratch — through the shard pipeline when the layer is forced on —
+    instead of patching an earlier serial evaluation."""
+    for arg in args:
+        if isinstance(arg, HRelation):
+            arg._pointwise_memo = None
+    return args

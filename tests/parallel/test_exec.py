@@ -20,7 +20,12 @@ from repro.core.preemption import STRATEGIES
 from repro.errors import EngineError
 from repro.parallel import pool as _pool
 
-from tests.parallel.helpers import cone_hierarchy, cone_relations, same_relation
+from tests.parallel.helpers import (
+    cone_hierarchy,
+    cone_relations,
+    same_relation,
+    without_memos,
+)
 
 STRATEGY_NAMES = ["off-path", "on-path", "none"]
 WORKER_COUNTS = [1, 2, 4]
@@ -37,7 +42,7 @@ def serial(fn, *args, **kwargs):
 def forced(workers, fn, *args, **kwargs):
     parallel.configure(workers=workers, min_tuples=0)
     try:
-        return fn(*args, **kwargs)
+        return fn(*without_memos(*args), **kwargs)
     finally:
         parallel.reset()
 
@@ -166,14 +171,10 @@ def test_gate_declines_below_threshold(workload):
     assert same_relation(expect, got)
 
 
-def test_gate_declines_capture_and_unknown_fn(workload):
+def test_gate_declines_unknown_fn(workload):
     _, left, right = workload
     parallel.configure(workers=2, min_tuples=0)
     specs = [("full", left), ("full", right)]
-    assert (
-        parallel.plan(left.schema, specs, fn_token="or", capture={}).reason
-        == "capture hook requested"
-    )
     assert (
         parallel.plan(left.schema, specs, fn_token="xor").reason
         == "combining function is not shippable"
